@@ -17,7 +17,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -266,26 +266,13 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
             files.append(name)
     files.extend(os.path.relpath(p, cfg.out_dir) for p in report.checkpoints)
 
+    # the effective config, less out_dir: reruns into other directories
+    # must write the same bytes
+    config = asdict(replace(cfg, solver=solver_cfg))
+    del config["out_dir"]
     manifest = {
         "run_id": run_id,
-        "params": {"N": cfg.params.ndim, "b": cfg.params.b, "p": cfg.params.p},
-        "grid": {"L": cfg.grid.half_width, "M": cfg.grid.points_per_axis},
-        "init": {
-            "kind": cfg.init.kind,
-            "amplitude": cfg.init.amplitude,
-            "width": cfg.init.width,
-            "center": list(cfg.init.center),
-        },
-        "solver": {
-            "dt0": solver_cfg.dt0,
-            "dt_floor": solver_cfg.dt_floor,
-            "t_max": solver_cfg.t_max,
-            "safety": solver_cfg.safety,
-            "c_cfl": solver_cfg.c_cfl,
-            "gradnorm_ceiling": solver_cfg.gradnorm_ceiling,
-            "sample_stride": solver_cfg.sample_stride,
-        },
-        "cutoff": {"k": cfg.cutoff_k, "R": list(cfg.cutoff_R)},
+        **config,
         "outcome": report.outcome,
         "t_end": report.t_end,
         "steps": report.steps,
@@ -410,8 +397,9 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
     stored CSV rows at matching times."""
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         man = json.load(fh)
-    k = man["cutoff"]["k"]
-    R_values = man["cutoff"]["R"]
+    if "cutoff_k" not in man or "cutoff_R" not in man:
+        raise InvariantError(f"manifest in {run_dir} has no cutoff_k/cutoff_R; rerun simulate")
+    k, R_values = man["cutoff_k"], man["cutoff_R"]
     ckpts = sorted(glob.glob(os.path.join(run_dir, "checkpoints", "ckpt_*.bin")))
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints in {run_dir}")
@@ -429,17 +417,17 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
         if plan is None:
             plan = SpectralPlan(f.grid)
             gw = obs.GridWeights(f.grid, f.params)
-            profiles = {R: build_cutoff(k, R, f.params) for R in R_values}
-            pgs = {R: obs.ProfileOnGrid(profiles[R], gw) for R in R_values}
+            pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in R_values}
         t = meta["t"]
         cons = obs.conservation(plan, f, gw)
+        virials = obs.virial_z_second(plan, f, gw, pgs)
         for R in R_values:
             col, rows = csv_data[R]
             match = np.where(np.abs(rows[:, col["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
             if match.size == 0:
                 continue
             row = rows[match[0]]
-            v = obs.virial_z_second(plan, f, profiles[R], gw, pgs[R])
+            v = virials[R]
             recomputed = {
                 "mass": cons.mass,
                 "energy": cons.energy,

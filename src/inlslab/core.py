@@ -110,16 +110,6 @@ class Grid:
         r2 = sum(xj**2 for xj in self.coords())
         return np.sqrt(r2)
 
-    def index_to_coord(self, flat_index: int) -> tuple:
-        idx = np.unravel_index(flat_index, self.shape)
-        x = self.axis_coords()
-        return tuple(x[i] for i in idx)
-
-    def coord_to_index(self, point) -> int:
-        x = self.axis_coords()
-        idx = tuple(int(np.argmin(np.abs(x - c))) for c in np.atleast_1d(point))
-        return int(np.ravel_multi_index(idx, self.shape))
-
 
 @dataclass(frozen=True)
 class Field:
@@ -215,11 +205,6 @@ def l2_norm(f: Field) -> float:
 
 def sup_norm(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def grad_norm(plan, f: Field) -> float:
-    """H1 seminorm via spectral differentiation (delegates to the plan)."""
-    return plan.grad_norm(f.values)
 
 
 # ---------------------------------------------------------------------------

@@ -265,16 +265,6 @@ class CutoffProfile:
         return 1.0 / (2.0 - b / 2.0) if self.params.ndim == 2 else 1.0 / (2.0 - b)
 
 
-@dataclass(frozen=True)
-class WeightPair:
-    """Callable pair (Phi_1,R, Phi_2,R) plus their outer-region constants."""
-
-    phi1_at: object
-    phi2_at: object
-    phi1_outer: float
-    phi2_outer: float
-
-
 def build_cutoff(k: int, R: float, params: ProblemParams, validate_k: bool = True) -> CutoffProfile:
     """Construct and certify the profile. validate_k=False skips the strict
     k bounds (used to exercise the unbounded-ratio error path)."""
@@ -287,15 +277,6 @@ def build_cutoff(k: int, R: float, params: ProblemParams, validate_k: bool = Tru
         check_k(k, params)
     a, bridge = _build_bridge(k)
     return CutoffProfile(k=k, R=float(R), params=params, r_star=a, bridge=bridge)
-
-
-def weights(profile: CutoffProfile) -> WeightPair:
-    return WeightPair(
-        phi1_at=profile.phi1,
-        phi2_at=profile.phi2,
-        phi1_outer=profile.phi1_outer,
-        phi2_outer=profile.phi2_outer,
-    )
 
 
 def _rho_samples(profile: CutoffProfile, n: int) -> np.ndarray:

@@ -75,83 +75,68 @@ def conservation(plan: SpectralPlan, f: Field, gw: GridWeights | None = None) ->
     return ConservationReport(mass=mass, energy=energy, kinetic=kinetic, potential_weighted=pot)
 
 
-def virial_z(f: Field, profile: CutoffProfile, pg: ProfileOnGrid | None = None) -> float:
-    pg = pg or ProfileOnGrid(profile, GridWeights(f.grid, f.params))
-    return f.grid.cell_volume * float(np.sum(pg.phi_R * np.abs(f.values) ** 2))
-
-
-def virial_z_prime(
-    plan: SpectralPlan, f: Field, profile: CutoffProfile, pg: ProfileOnGrid | None = None
-) -> float:
-    """z_R' = 2 Im int (partial_r phi_R / r) (x . grad u) conj(u)."""
-    pg = pg or ProfileOnGrid(profile, GridWeights(f.grid, f.params))
-    _, xdot = plan.radial_derivative_arrays(f.values)
-    integrand = pg.dphi_over_r * xdot * np.conj(f.values)
-    return 2.0 * f.grid.cell_volume * float(np.sum(integrand.imag))
-
-
 def virial_z_second(
-    plan: SpectralPlan,
-    f: Field,
-    profile: CutoffProfile,
-    gw: GridWeights | None = None,
-    pg: ProfileOnGrid | None = None,
-) -> VirialReport:
-    """Second virial derivative (four-term radial form) and its split into
-    2-alpha*E + K1 + K2 + K3; alpha_check records the measured multiple of
-    the same-grid energy closing the decomposition."""
+    plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict
+) -> dict:
+    """R -> VirialReport for every radius of pgs (R -> ProfileOnGrid), from
+    one gradient pass: z_R, z_R' = 2 Im int (partial_r phi_R / r)
+    (x . grad u) conj(u), and the second derivative (four-term radial form)
+    split into 2-alpha*E + K1 + K2 + K3; alpha_check records the measured
+    multiple of the same-grid energy closing the decomposition."""
     params = f.params
-    gw = gw or GridWeights(f.grid, params)
-    pg = pg or ProfileOnGrid(profile, gw)
     quad = gw.quad
     N, b = params.ndim, params.b
     cN = N + 2.0 - b
+    coef = (4.0 - 2.0 * b) / cN
 
     grads, xdot = plan.radial_derivative_arrays(f.values)
     grad2 = sum(np.abs(g) ** 2 for g in grads)
     xdot2 = np.abs(xdot) ** 2
     absu2 = np.abs(f.values) ** 2
     wup = gw.w_b * absu2 ** (params.p / 2.0)  # |x|^-b |u|^p
+    conj_u = np.conj(f.values)
 
     G = quad * float(np.sum(grad2))
     P = quad * float(np.sum(wup))
-
-    t1 = 4.0 * quad * float(np.sum(pg.dphi_over_r * grad2))
-    t2 = 4.0 * quad * float(np.sum(pg.aniso * xdot2))
-    t3 = -quad * float(np.sum(pg.bilap * absu2))
-    coef = (4.0 - 2.0 * b) / cN
-    t4 = coef * quad * float(
-        np.sum((-pg.d2phi - (N - 1.0 + b * N / (2.0 - b)) * pg.dphi_over_r) * wup)
-    )
-    z_second = t1 + t2 + t3 + t4
-
-    K1 = -4.0 * quad * float(np.sum((2.0 - pg.dphi_over_r) * grad2)) + 4.0 * quad * float(
-        np.sum(pg.aniso * xdot2)
-    )
-    K2 = (2.0 / cN) * quad * float(
-        np.sum(((2.0 - b) * (2.0 - pg.d2phi) + (2.0 * N - 2.0 + b) * (2.0 - pg.dphi_over_r)) * wup)
-    )
-    K3 = t3
-
     energy = 0.5 * G - params.energy_coefficient * P
-    if abs(energy) > ALPHA_ENERGY_FLOOR:
-        alpha = (z_second - K1 - K2 - K3) / energy
-    else:
-        alpha = float("nan")
 
-    zR = quad * float(np.sum(pg.phi_R * absu2))
-    integrand = pg.dphi_over_r * xdot * np.conj(f.values)
-    z_prime = 2.0 * quad * float(np.sum(integrand.imag))
+    reports = {}
+    for R, pg in pgs.items():
+        t1 = 4.0 * quad * float(np.sum(pg.dphi_over_r * grad2))
+        t2 = 4.0 * quad * float(np.sum(pg.aniso * xdot2))
+        t3 = -quad * float(np.sum(pg.bilap * absu2))
+        t4 = coef * quad * float(
+            np.sum((-pg.d2phi - (N - 1.0 + b * N / (2.0 - b)) * pg.dphi_over_r) * wup)
+        )
+        z_second = t1 + t2 + t3 + t4
 
-    return VirialReport(
-        zR=zR,
-        zR_prime=z_prime,
-        zR_second_formula=z_second,
-        K1=K1,
-        K2=K2,
-        K3=K3,
-        alpha_check=alpha,
-    )
+        K1 = -4.0 * quad * float(np.sum((2.0 - pg.dphi_over_r) * grad2)) + 4.0 * quad * float(
+            np.sum(pg.aniso * xdot2)
+        )
+        K2 = (2.0 / cN) * quad * float(
+            np.sum(((2.0 - b) * (2.0 - pg.d2phi) + (2.0 * N - 2.0 + b) * (2.0 - pg.dphi_over_r)) * wup)
+        )
+        K3 = t3
+
+        if abs(energy) > ALPHA_ENERGY_FLOOR:
+            alpha = (z_second - K1 - K2 - K3) / energy
+        else:
+            alpha = float("nan")
+
+        zR = quad * float(np.sum(pg.phi_R * absu2))
+        integrand = pg.dphi_over_r * xdot * conj_u
+        z_prime = 2.0 * quad * float(np.sum(integrand.imag))
+
+        reports[R] = VirialReport(
+            zR=zR,
+            zR_prime=z_prime,
+            zR_second_formula=z_second,
+            K1=K1,
+            K2=K2,
+            K3=K3,
+            alpha_check=alpha,
+        )
+    return reports
 
 
 CSV_COLUMNS = [

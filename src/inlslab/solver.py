@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import fft as _fft
 
 from . import observables as obs
 from .core import Field, Grid, InitialData, InvariantError, ProblemParams, realize, write_checkpoint
@@ -129,16 +128,6 @@ class RunReport:
         }
 
 
-def nonlinear_phase(f: Field, dt: float, potential: np.ndarray | None = None) -> Field:
-    """Exact potential-only subflow u -> u exp(i dt |x|^-b |u|^sigma).
-
-    potential overrides |x|^-b (the zero array turns the nonlinearity off).
-    """
-    if potential is None:
-        potential = obs.GridWeights(f.grid, f.params).w_b
-    return Field(f.params, f.grid, _nonlinear_phase_array(f.values, dt, potential, f.params.sigma))
-
-
 def _abs_pow(absu: np.ndarray, sigma: float) -> np.ndarray:
     # |u|^sigma dominates the step cost for non-integer exponents; the
     # L2-critical sigma = (4-2b)/N is a small integer for many (N, b)
@@ -151,14 +140,17 @@ def _abs_pow(absu: np.ndarray, sigma: float) -> np.ndarray:
     return absu**sigma
 
 
-def _phase_rotate(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # u * exp(i theta) without forming a complex exponent
-    return u * (np.cos(theta) + 1j * np.sin(theta))
+def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
+    """Exact potential-only subflow u -> u exp(i dt V |u|^sigma), V the
+    potential (|x|^-b, or zero to turn the nonlinearity off).
 
-
-def _nonlinear_phase_array(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
+    Returns the rotated field and the largest rate V |u|^sigma, which
+    drives the step control.
+    """
     rate = potential * _abs_pow(np.abs(u), sigma)
-    return _phase_rotate(u, dt * rate)
+    theta = dt * rate
+    # u * exp(i theta) without forming a complex exponent
+    return u * (np.cos(theta) + 1j * np.sin(theta)), float(np.max(rate))
 
 
 def strang_step(
@@ -170,7 +162,7 @@ def strang_step(
     if potential is None:
         potential = obs.GridWeights(f.grid, f.params).w_b
     u = plan.free_propagate_array(f.values, 0.5 * dt)
-    u = _nonlinear_phase_array(u, dt, potential, f.params.sigma)
+    u, _ = _phase_step(u, dt, potential, f.params.sigma)
     u = plan.free_propagate_array(u, 0.5 * dt)
     return Field(f.params, f.grid, u)
 
@@ -188,7 +180,6 @@ def run(
     plan = SpectralPlan(grid)
     gw = obs.GridWeights(grid, params)
     pgs = {p.R: obs.ProfileOnGrid(p, gw) for p in profiles}
-    profs = {p.R: p for p in profiles}
     sigma = params.sigma
 
     u = f.values.copy()
@@ -196,16 +187,13 @@ def run(
     def sample(t, dt):
         fld = Field(params, grid, u)
         cons = obs.conservation(plan, fld, gw)
-        vir = {
-            R: obs.virial_z_second(plan, fld, profs[R], gw, pgs[R]) for R in profs
-        }
         return Sample(
             t=t,
             dt=dt,
             conservation=cons,
             grad_norm=float(np.sqrt(cons.kinetic)),
             sup_norm=float(np.max(np.abs(u))),
-            virials=vir,
+            virials=obs.virial_z_second(plan, fld, gw, pgs),
         )
 
     series = [sample(0.0, cfg.dt0)]
@@ -235,19 +223,6 @@ def run(
     # Adjacent linear half-steps are merged between samples:
     # free(a) o free(b) = free(a+b), so a "pending" linear tail is carried
     # and flushed before each sample. Exactly Strang, half the transforms.
-    mult_cache: dict = {}
-
-    def free(vals, tau):
-        if tau == 0.0:
-            return vals
-        m = mult_cache.get(tau)
-        if m is None:
-            if len(mult_cache) > 8:
-                mult_cache.clear()
-            m = np.exp(-1j * plan.k2 * tau)
-            mult_cache[tau] = m
-        return _fft.ifftn(_fft.fftn(vals) * m)
-
     t = 0.0
     step = 0
     pending = 0.0  # linear propagation owed to reach physical time t
@@ -269,10 +244,8 @@ def run(
             break
         dt = min(dt, cfg.t_max - t)
 
-        unew = free(u, pending + 0.5 * dt)
-        rate_arr = gw.w_b * _abs_pow(np.abs(unew), sigma)
-        rate = float(np.max(rate_arr))
-        unew = _phase_rotate(unew, dt * rate_arr)
+        unew = plan.free_propagate_array(u, pending + 0.5 * dt)
+        unew, rate = _phase_step(unew, dt, gw.w_b, sigma)
         pending = 0.5 * dt
 
         if not np.all(np.isfinite(unew.view(float))):
@@ -285,7 +258,7 @@ def run(
         step += 1
 
         if step % cfg.sample_stride == 0 or t >= cfg.t_max:
-            u = free(u, pending)
+            u = plan.free_propagate_array(u, pending)
             pending = 0.0
             s = sample(t, dt)
             series.append(s)
@@ -308,7 +281,7 @@ def run(
                 return report
             last_sample_t = t
 
-    u = free(u, pending)
+    u = plan.free_propagate_array(u, pending)
     report.t_end = t
     report.steps = step
     if report.dt_floor_hit:

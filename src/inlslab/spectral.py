@@ -14,10 +14,15 @@ from scipy import fft as _fft
 from .core import Field, Grid, InvariantError
 
 
+MULTIPLIER_CACHE_SIZE = 8  # a run uses a few distinct steps; cleared when full
+
+
 class SpectralPlan:
     """Cached frequency vectors and multipliers for one grid.
 
-    Immutable after construction; safe for concurrent use.
+    The frequency arrays are fixed at construction. Free-propagator
+    multipliers exp(-i |xi|^2 dt) are cached per dt in a small bounded
+    dict that calls mutate, so a plan is not safe for concurrent use.
     """
 
     def __init__(self, grid: Grid):
@@ -34,6 +39,7 @@ class SpectralPlan:
             shape_axes.append((xi.reshape(sh), xi_d.reshape(sh)))
         self._xi_axes = shape_axes
         self.k2 = sum(x**2 for x, _ in shape_axes)
+        self._multipliers: dict = {}
 
     def _check(self, f: Field):
         if f.grid != self.grid:
@@ -51,7 +57,17 @@ class SpectralPlan:
         return _fft.ifftn(-self.k2 * _fft.fftn(values))
 
     def free_propagate_array(self, values: np.ndarray, dt: float) -> np.ndarray:
-        return _fft.ifftn(np.exp(-1j * self.k2 * dt) * _fft.fftn(values))
+        """exp(i dt Lap) applied on the frequency side; dt == 0 returns
+        values itself."""
+        if dt == 0.0:
+            return values
+        m = self._multipliers.get(dt)
+        if m is None:
+            if len(self._multipliers) >= MULTIPLIER_CACHE_SIZE:
+                self._multipliers.clear()
+            m = np.exp(-1j * self.k2 * dt)
+            self._multipliers[dt] = m
+        return _fft.ifftn(_fft.fftn(values) * m)
 
     def grad_norm(self, values: np.ndarray) -> float:
         """sqrt(sum_j ||d_j u||_2^2) with rectangle-rule quadrature,
@@ -83,14 +99,3 @@ class SpectralPlan:
             raise InvariantError("dt must be finite")
         return Field(f.params, f.grid, self.free_propagate_array(f.values, dt))
 
-
-def gradient(plan: SpectralPlan, f: Field) -> tuple:
-    return plan.gradient(f)
-
-
-def laplacian(plan: SpectralPlan, f: Field) -> Field:
-    return plan.laplacian(f)
-
-
-def free_propagate(plan: SpectralPlan, f: Field, dt: float) -> Field:
-    return plan.free_propagate(f, dt)

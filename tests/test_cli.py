@@ -93,13 +93,21 @@ class TestSimulate:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
-        outs = []
+        outs, manifests = [], []
         for name in ("a", "b"):
             out = str(tmp_path / name)
             assert main(["simulate", "--config", cfg_path, "--out-dir", out]) == 0
             with open(os.path.join(out, "series_R2.csv"), "rb") as fh:
                 outs.append(fh.read())
+            with open(os.path.join(out, "manifest.json"), "rb") as fh:
+                manifests.append(fh.read())
         assert outs[0] == outs[1]
+        assert manifests[0] == manifests[1]
+        man = json.loads(manifests[0])
+        for key in ("amplitude2", "width2", "center2", "checkpoint_path"):
+            assert key in man["init"]
+        for key in ("supnorm_ceiling", "checkpoint_stride"):
+            assert key in man["solver"]
 
     def test_detection_exit_code(self, tmp_path):
         text = MINIMAL.replace(
@@ -175,6 +183,13 @@ class TestSweepPlotAudit:
         assert report["passed"]
         assert report["max_rel_err"] <= 1e-12
         assert main(["virial-audit", out]) == 0
+
+
+    def test_virial_audit_rejects_manifest_without_cutoff(self, tmp_path, capsys):
+        # the layout written before the manifest came from the config
+        (tmp_path / "manifest.json").write_text(json.dumps({"cutoff": {"k": 5, "R": [2.0]}}))
+        assert main(["virial-audit", str(tmp_path)]) == 1
+        assert "cutoff_k" in capsys.readouterr().err
 
 
 class TestToolSubcommands:

@@ -59,12 +59,6 @@ class TestGrid:
         g = Grid(3, 2.0, 8)
         assert g.cell_volume * g.size == pytest.approx((2 * 2.0) ** 3)
 
-    def test_index_coordinate_round_trip(self):
-        g = Grid(2, 4.0, 16)
-        for flat in (0, 5, 255, 100):
-            pt = g.index_to_coord(flat)
-            assert g.coord_to_index(pt) == flat
-
     @pytest.mark.parametrize("M", [0, -4, 7])
     def test_rejects_bad_point_counts(self, M):
         with pytest.raises(InvariantError):

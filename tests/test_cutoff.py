@@ -16,7 +16,6 @@ from inlslab.cutoff import (
     k_lower_bounds,
     r_star,
     verify_phicond,
-    weights,
 )
 
 P1 = ProblemParams(1, 0.5)
@@ -156,6 +155,10 @@ class TestWeights:
         r = np.linspace(2.0, 6.0, 50)
         assert np.allclose(prof.phi1(r), 8.0)
         assert np.allclose(prof.phi2(r), 6.0)  # 8*3/(3+2-1)
+        assert prof.phi1_outer == 8.0 and prof.phi2_outer == pytest.approx(6.0)
+        prof = build_cutoff(5, 1.0, P1)
+        assert prof.phi1_outer == 8.0
+        assert prof.phi2_outer == pytest.approx(8.0 / (1.0 + 2.0 - 0.5))
 
     def test_nonnegative_everywhere(self):
         for N in (1, 2, 3):
@@ -186,15 +189,6 @@ class TestWeights:
             prof = build_cutoff(5, R, P1)
             assert np.allclose(prof.phi1(rho * R), base.phi1(rho), rtol=1e-13)
             assert np.allclose(prof.phi2(rho * R), base.phi2(rho), rtol=1e-13)
-
-    def test_weight_pair_wrapper(self):
-        prof = build_cutoff(5, 1.0, P1)
-        wp = weights(prof)
-        r = np.linspace(0.5, 4.0, 20)
-        assert np.array_equal(wp.phi1_at(r), prof.phi1(r))
-        assert np.array_equal(wp.phi2_at(r), prof.phi2(r))
-        assert wp.phi1_outer == 8.0
-        assert wp.phi2_outer == pytest.approx(8.0 / (1.0 + 2.0 - 0.5))
 
 
 class TestGradWeightBound:

@@ -12,8 +12,6 @@ from inlslab.observables import (
     GridWeights,
     ProfileOnGrid,
     conservation,
-    virial_z,
-    virial_z_prime,
     virial_z_second,
 )
 from inlslab.spectral import SpectralPlan
@@ -23,6 +21,13 @@ PARAMS = ProblemParams(1, 0.5)
 
 def make(grid, values):
     return Field(PARAMS, grid, np.asarray(values, dtype=complex))
+
+
+def virial(f, prof, pg=None, plan=None):
+    """The single-radius VirialReport for one profile."""
+    gw = GridWeights(f.grid, f.params)
+    pg = pg or ProfileOnGrid(prof, gw)
+    return virial_z_second(plan or SpectralPlan(f.grid), f, gw, {prof.R: pg})[prof.R]
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +90,13 @@ class TestConservation:
 class TestVirialZ:
     def test_zero_field(self, grid):
         prof = build_cutoff(5, 4.0, PARAMS)
-        assert virial_z(make(grid, np.zeros(grid.shape)), prof) == 0.0
+        assert virial(make(grid, np.zeros(grid.shape)), prof).zR == 0.0
 
     def test_inner_support_equals_second_moment(self, grid):
         prof = build_cutoff(5, 8.0, PARAMS)
         x = grid.axis_coords()
         u = np.exp(-(x**2))  # numerically supported well inside |x| <= 4
-        z = virial_z(make(grid, u), prof)
+        z = virial(make(grid, u), prof).zR
         direct = grid.cell_volume * np.sum(x**2 * np.abs(u) ** 2)
         assert z == pytest.approx(direct, rel=1e-12)
 
@@ -107,14 +112,14 @@ class TestVirialZ:
             u = np.fft.ifftn(spec)
             f = make(grid, u)
             mass = conservation(plan, f, gw).mass
-            assert virial_z(f, prof, pg) <= cap * mass * (1.0 + 1e-12)
+            assert virial(f, prof, pg, plan).zR <= cap * mass * (1.0 + 1e-12)
 
 
 class TestVirialZPrime:
     def test_real_field_gives_zero(self, grid, plan):
         prof = build_cutoff(5, 2.0, PARAMS)
         x = grid.axis_coords()
-        assert virial_z_prime(plan, make(grid, np.exp(-(x**2))), prof) == pytest.approx(
+        assert virial(make(grid, np.exp(-(x**2))), prof, plan=plan).zR_prime == pytest.approx(
             0.0, abs=1e-14
         )
 
@@ -126,10 +131,10 @@ class TestVirialZPrime:
         # off-center moving packet: a centered one has z'(0) = 0 by symmetry
         u0 = np.exp(-((x - 1.0) ** 2) / 2.0) * np.exp(0.3j * x)
         f = make(grid, u0)
-        zp = virial_z_prime(plan, f, prof, pg)
+        zp = virial(f, prof, pg, plan).zR_prime
 
         def z_at(t):
-            return virial_z(make(grid, plan.free_propagate_array(u0, t)), prof, pg)
+            return virial(make(grid, plan.free_propagate_array(u0, t)), prof, pg, plan).zR
 
         errs = []
         for delta in (1e-3, 5e-4):
@@ -141,7 +146,7 @@ class TestVirialZPrime:
 class TestVirialZSecond:
     def test_zero_field_all_zero(self, grid, plan, gw):
         prof = build_cutoff(5, 2.0, PARAMS)
-        rep = virial_z_second(plan, make(grid, np.zeros(grid.shape)), prof, gw)
+        rep = virial(make(grid, np.zeros(grid.shape)), prof, plan=plan)
         assert rep.zR == rep.zR_prime == rep.zR_second_formula == 0.0
         assert rep.K1 == rep.K2 == rep.K3 == 0.0
         assert np.isnan(rep.alpha_check)
@@ -154,7 +159,7 @@ class TestVirialZSecond:
             spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             spec[np.abs(np.fft.fftfreq(grid.size) * grid.size) > 100] = 0.0
             u = np.fft.ifftn(spec)
-            rep = virial_z_second(plan, make(grid, u), prof, gw, pg)
+            rep = virial(make(grid, u), prof, pg, plan)
             assert rep.K1 <= 1e-12 * abs(rep.zR_second_formula)
             assert rep.K2 >= 0.0
 
@@ -162,7 +167,7 @@ class TestVirialZSecond:
         prof = build_cutoff(5, 8.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
         x = grid.axis_coords()
-        rep = virial_z_second(plan, make(grid, 0.8 * np.exp(-(x**2))), prof, gw, pg)
+        rep = virial(make(grid, 0.8 * np.exp(-(x**2))), prof, pg, plan)
         scale = abs(rep.zR_second_formula)
         assert abs(rep.K1) < 1e-10 * scale
         assert abs(rep.K2) < 1e-10 * scale
@@ -175,7 +180,7 @@ class TestVirialZSecond:
         pg = ProfileOnGrid(prof, gw)
         x = grid.axis_coords()
         f = make(grid, np.exp(-(x**2) / 8.0))
-        rep = virial_z_second(plan, f, prof, gw, pg)
+        rep = virial(f, prof, pg, plan)
         mass = conservation(plan, f, gw).mass
         assert abs(rep.K3) <= bilaplacian_sup(prof) * mass * (1.0 + 1e-9)
 
@@ -189,7 +194,7 @@ class TestVirialZSecond:
             0.6 * np.exp(-(x**2) / 1.3) + 0.3 * np.exp(-((x + 1.1) ** 2)),
         ]
         alphas = [
-            virial_z_second(plan, make(grid, u), prof, gw, pg).alpha_check for u in fields
+            virial(make(grid, u), prof, pg, plan).alpha_check for u in fields
         ]
         assert np.max(np.abs(np.diff(alphas))) < 1e-9 * abs(alphas[0])
 
@@ -197,9 +202,7 @@ class TestVirialZSecond:
         # non-radial data exercises the Cartesian x . grad u assembly
         prof = build_cutoff(5, 2.0, PARAMS)
         x = grid.axis_coords()
-        rep = virial_z_second(
-            plan, make(grid, np.exp(-((x - 0.5) ** 2)) * np.exp(0.2j * x)), prof, gw
-        )
+        rep = virial(make(grid, np.exp(-((x - 0.5) ** 2)) * np.exp(0.2j * x)), prof, plan=plan)
         assert np.isfinite(rep.zR_second_formula)
         assert rep.zR >= 0.0
 
@@ -211,9 +214,24 @@ class TestMultiDimension:
         prof = build_cutoff(default_k(params), 4.0, params)
         r2 = sum(c**2 for c in grid.coords())
         u = np.exp(-r2)
-        z = virial_z(Field(params, grid, u + 0.0j), prof)
+        z = virial(Field(params, grid, u + 0.0j), prof).zR
         direct = grid.cell_volume * np.sum(r2 * np.abs(u) ** 2)
         assert z == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64)])
+def test_one_pass_matches_single_radius_calls(ndim, b, M):
+    params = ProblemParams(ndim, b)
+    grid = Grid(ndim, 8.0, M)
+    plan = SpectralPlan(grid)
+    gw = GridWeights(grid, params)
+    pgs = {R: ProfileOnGrid(build_cutoff(default_k(params), R, params), gw) for R in (1.0, 2.0, 4.0)}
+    r2 = sum((x - 0.4) ** 2 for x in grid.coords())
+    f = Field(params, grid, 0.7 * np.exp(-r2) * np.exp(0.3j * grid.coords()[0]))
+    fused = virial_z_second(plan, f, gw, pgs)
+    assert list(fused) == [1.0, 2.0, 4.0]
+    for R, pg in pgs.items():
+        assert fused[R] == virial_z_second(plan, f, gw, {R: pg})[R]
 
 
 def test_csv_column_order_is_fixed():

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inlslab.core import Field, Grid, InitialData, InvariantError, ProblemParams, realize
+from inlslab.core import (
+    Field,
+    Grid,
+    InitialData,
+    InvariantError,
+    ProblemParams,
+    read_checkpoint,
+    realize,
+)
 from inlslab.cutoff import build_cutoff, default_k
 from inlslab.observables import GridWeights
 from inlslab.solver import (
@@ -12,16 +21,19 @@ from inlslab.solver import (
     OUTCOME_REACHED_T_MAX,
     RunReport,
     SolverConfig,
-    nonlinear_phase,
+    _phase_step,
     run,
     strang_step,
 )
-from inlslab.spectral import SpectralPlan, free_propagate
+from inlslab.spectral import SpectralPlan
 
 PARAMS = ProblemParams(1, 0.5)
 GRID = Grid(1, 10.0, 256)
 PLAN = SpectralPlan(GRID)
 PROFILES = [build_cutoff(default_k(PARAMS), R, PARAMS) for R in (2.0, 4.0)]
+
+# few, reproducible examples: these run in the default suite
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def gaussian_field(amplitude=0.5, width=1.0, grid=GRID, params=PARAMS):
@@ -50,26 +62,46 @@ class TestSolverConfig:
 
 
 class TestNonlinearPhase:
+    W_B = GridWeights(GRID, PARAMS).w_b
+
     def test_dt_zero_is_identity(self):
-        f = gaussian_field()
-        out = nonlinear_phase(f, 0.0)
-        assert np.array_equal(out.values, f.values)
+        u = gaussian_field().values
+        out, _ = _phase_step(u, 0.0, self.W_B, PARAMS.sigma)
+        assert np.array_equal(out, u)
 
     def test_modulus_preserved_pointwise(self):
-        f = gaussian_field(amplitude=1.3)
-        out = nonlinear_phase(f, 0.37)
-        assert np.max(np.abs(np.abs(out.values) - np.abs(f.values))) < 1e-14
+        u = gaussian_field(amplitude=1.3).values
+        out, _ = _phase_step(u, 0.37, self.W_B, PARAMS.sigma)
+        assert np.max(np.abs(np.abs(out) - np.abs(u))) < 1e-14
 
     def test_single_point_phase_increment(self):
         # N=1, b=1: |x|=2, |u|=3, dt=0.1 -> phase 0.1 * (1/2) * 9 = 0.45
         params = ProblemParams(1, 1.0)
         grid = Grid(1, 8.0, 64)
-        f = Field(params, grid, np.full(64, 3.0, dtype=complex))
-        out = nonlinear_phase(f, 0.1)
+        u = np.full(64, 3.0, dtype=complex)
+        w_b = GridWeights(grid, params).w_b
+        out, rate = _phase_step(u, 0.1, w_b, params.sigma)
         idx = int(np.argmin(np.abs(grid.axis_coords() - 2.0)))
         r = abs(grid.axis_coords()[idx])
-        phase = np.angle(out.values[idx] / f.values[idx])
+        phase = np.angle(out[idx] / u[idx])
         assert phase == pytest.approx(0.1 * (1.0 / r) * 9.0, rel=1e-12)
+        assert rate == np.max(w_b) * 9.0
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 3.0),
+        dt=st.floats(0.0, 1.0),
+        b=st.sampled_from([0.3, 0.5, 1.0, 1.5]),
+    )
+    def test_modulus_preserved_property(self, seed, scale, dt, b):
+        params = ProblemParams(1, b)
+        w_b = GridWeights(GRID, params).w_b
+        rng = np.random.default_rng(seed)
+        u = scale * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        out, rate = _phase_step(u, dt, w_b, params.sigma)
+        assert np.all(np.abs(np.abs(out) - np.abs(u)) <= 1e-15 * (1.0 + np.abs(u)))
+        assert rate == pytest.approx(np.max(w_b * np.abs(u) ** params.sigma), rel=1e-14)
 
 
 class TestStrangStep:
@@ -77,7 +109,7 @@ class TestStrangStep:
         f = gaussian_field()
         zero_pot = np.zeros(GRID.shape)
         stepped = strang_step(PLAN, f, 0.05, potential=zero_pot)
-        free = free_propagate(PLAN, f, 0.05)
+        free = PLAN.free_propagate(f, 0.05)
         assert np.max(np.abs(stepped.values - free.values)) < 1e-14
 
     def test_rejects_nonpositive_dt(self):
@@ -124,6 +156,22 @@ class TestStrangStep:
 
         for dt in (2e-2, 1e-2):
             assert defect(dt) < 1e-13
+
+    @PROPERTY
+    @given(
+        amplitude=st.floats(0.05, 1.0),
+        width=st.floats(0.5, 2.0),
+        shift=st.floats(-2.0, 2.0),
+        dt=st.floats(1e-4, 2e-2),
+    )
+    def test_time_reversal_property(self, amplitude, width, shift, dt):
+        pot = GridWeights(GRID, PARAMS).w_b
+        x = GRID.axis_coords()
+        u = amplitude * np.exp(-((x - shift) ** 2) / (2.0 * width**2)) * np.exp(1j * shift * x)
+        f = Field(PARAMS, GRID, u)
+        g = strang_step(PLAN, f, dt, potential=pot)
+        g = strang_step(PLAN, Field(PARAMS, GRID, np.conj(g.values)), dt, potential=pot)
+        assert np.max(np.abs(np.conj(g.values) - u)) < 1e-13
 
     def test_global_self_convergence_order_two(self):
         pot = GridWeights(GRID, PARAMS).w_b
@@ -211,10 +259,28 @@ class TestRun:
             run_id="t",
         )
         assert len(rep.checkpoints) >= 2
-        from inlslab.core import read_checkpoint
-
         f, meta = read_checkpoint(rep.checkpoints[0])
         assert meta["t"] == 0.0
+
+    def test_matches_reference_strang_steps(self, tmp_path):
+        # the production loop merges adjacent half-steps; at a fixed dt its
+        # checkpoint after k steps must be k reference Strang steps
+        k, dt0 = 5, 1e-3
+        init = InitialData(kind="gaussian", amplitude=0.5, width=1.0, center=(0.7,))
+        rep = run(
+            init,
+            PARAMS,
+            GRID,
+            self.cfg(dt0=dt0, t_max=1.5 * k * dt0, sample_stride=k, checkpoint_stride=1),
+            PROFILES,
+            checkpoint_dir=str(tmp_path),
+        )
+        assert rep.series[1].dt == dt0  # the CFL bound never bound
+        stepped, _ = read_checkpoint(tmp_path / f"ckpt_{k:09d}.bin")
+        f = realize(init, PARAMS, GRID)
+        for _ in range(k):
+            f = strang_step(PLAN, f, dt0)
+        assert np.max(np.abs(stepped.values - f.values)) <= 1e-13
 
     def test_determinism(self):
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)

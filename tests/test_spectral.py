@@ -3,11 +3,17 @@ closed-form solutions and finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inlslab.core import Field, Grid, InvariantError, ProblemParams
-from inlslab.spectral import SpectralPlan, free_propagate, gradient, laplacian
+from inlslab.spectral import SpectralPlan
 
 PARAMS = ProblemParams(1, 0.5)
+
+# few, reproducible examples: these run in the default suite
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+TIMES = st.floats(-0.5, 0.5, allow_nan=False)
 
 
 def periodic_gaussian(grid, width=1.0):
@@ -113,16 +119,52 @@ class TestFreePropagator:
         assert np.allclose(back, u, atol=1e-13)
 
 
+class TestFreePropagatorProperties:
+    # one plan shared by every example, so its multiplier cache sees hits,
+    # misses and the clear-on-full path
+    GRID = Grid(1, 8.0, 128)
+    PLAN = SpectralPlan(GRID)
+
+    def field(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(128) + 1j * rng.standard_normal(128)
+
+    @PROPERTY
+    @given(seed=SEEDS, dt=TIMES)
+    def test_unitary(self, seed, dt):
+        u = self.field(seed)
+        out = self.PLAN.free_propagate_array(u, dt)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(u) ** 2), rel=1e-13)
+
+    @PROPERTY
+    @given(seed=SEEDS, a=TIMES, b=TIMES)
+    def test_group_law(self, seed, a, b):
+        u = self.field(seed)
+        one = self.PLAN.free_propagate_array(self.PLAN.free_propagate_array(u, a), b)
+        other = self.PLAN.free_propagate_array(u, a + b)
+        # phase roundoff grows like |xi|^2 |a + b| eps, about 1e-13 here
+        assert np.max(np.abs(one - other)) < 1e-12 * np.max(np.abs(u))
+
+    @PROPERTY
+    @given(seed=SEEDS, dt=TIMES.filter(lambda t: t != 0.0))
+    def test_cache_hit_matches_fresh_multiplier(self, seed, dt):
+        u = self.field(seed)
+        self.PLAN.free_propagate_array(u, dt)
+        hit = self.PLAN.free_propagate_array(u, dt)
+        fresh = SpectralPlan(self.GRID).free_propagate_array(u, dt)
+        assert np.array_equal(hit, fresh)
+
+
 class TestFieldLevelWrappers:
     def test_wrappers_agree_with_arrays(self):
         grid = Grid(1, 8.0, 64)
         plan = SpectralPlan(grid)
         f = Field(PARAMS, grid, periodic_gaussian(grid))
-        (gf,) = gradient(plan, f)
+        (gf,) = plan.gradient(f)
         assert np.allclose(gf.values, plan.gradient_arrays(f.values)[0])
-        assert np.allclose(laplacian(plan, f).values, plan.laplacian_array(f.values))
+        assert np.allclose(plan.laplacian(f).values, plan.laplacian_array(f.values))
         assert np.allclose(
-            free_propagate(plan, f, 0.2).values, plan.free_propagate_array(f.values, 0.2)
+            plan.free_propagate(f, 0.2).values, plan.free_propagate_array(f.values, 0.2)
         )
 
     def test_grid_mismatch_rejected(self):
