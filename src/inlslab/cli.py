@@ -1,11 +1,12 @@
 """Configuration parsing, experiment orchestration and result emission.
 
-Config files are flat sectioned key=value text (configparser syntax) with
-sections problem, grid, init, solver, cutoff, emit. Unknown keys are
-errors; validation collects every violation instead of failing fast.
+Config files are configparser text with sections problem, grid, init,
+solver, cutoff, emit; CONFIG_KEYS maps each key to the dataclass field it
+sets. Unknown keys are errors; validation collects every violation.
 
 Exit codes: 0 reached_t_max, 10 blowup_detected (a successful
-demonstration), 20 instability, 1 config error.
+demonstration), 20 instability, 1 config or input error (or a failed
+sweep value), 2 a failed check (virial-audit, cutoff-verify).
 """
 
 from __future__ import annotations
@@ -17,47 +18,28 @@ import glob
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import observables as obs
-from .core import Field, Grid, InitialData, InvariantError, ProblemParams, read_checkpoint
-from .cutoff import build_cutoff, default_k, find_epsilon, grad_weight_bound, verify_phicond
+from .core import Grid, InitialData, InvariantError, ProblemParams, read_checkpoint
+from .cutoff import (
+    ConstraintError,
+    build_cutoff,
+    check_k,
+    default_k,
+    find_epsilon,
+    grad_weight_bound,
+    verify_phicond,
+)
 from .inequalities import IneqCase, RadialWeight, estimate_constant
 from .solver import OUTCOME_BLOWUP, OUTCOME_INSTABILITY, OUTCOME_REACHED_T_MAX, SolverConfig, run
 from .spectral import SpectralPlan
 from .svgplot import line_plot
 
 EXIT_CODES = {OUTCOME_REACHED_T_MAX: 0, OUTCOME_BLOWUP: 10, OUTCOME_INSTABILITY: 20}
-
-KNOWN_KEYS = {
-    "problem": {"N", "b"},
-    "grid": {"L", "M"},
-    "init": {
-        "kind",
-        "amplitude",
-        "width",
-        "center",
-        "amplitude2",
-        "width2",
-        "center2",
-        "checkpoint",
-    },
-    "solver": {
-        "dt0",
-        "dt_floor",
-        "t_max",
-        "safety",
-        "c_cfl",
-        "gradnorm_ceiling",
-        "supnorm_ceiling",
-        "sample_stride",
-        "checkpoint_stride",
-    },
-    "cutoff": {"k", "R"},
-    "emit": {"csv", "svg", "checkpoints", "out_dir"},
-}
 
 
 class ConfigError(ValueError):
@@ -72,20 +54,59 @@ class ExperimentConfig:
     grid: Grid
     init: InitialData
     solver: SolverConfig
-    cutoff_k: int
-    cutoff_R: tuple
+    cutoff_k: int | None = None  # None: default_k(params), resolved by simulate
+    cutoff_R: tuple = (2.0, 4.0, 8.0)
     emit_csv: bool = True
     emit_svg: bool = False
     emit_checkpoints: bool = False
     out_dir: str = "run_out"
 
 
+def _keys(cls, **renamed):
+    """config key -> field name for every field of cls; renamed maps a
+    field name to its config key where the two differ."""
+    return {renamed.get(f.name, f.name): f.name for f in fields(cls)}
+
+
+# section -> (the dataclass its keys set, config key -> field name)
+CONFIG_KEYS = {
+    "problem": (ProblemParams, {"N": "ndim", "b": "b"}),
+    "grid": (Grid, {"L": "half_width", "M": "points_per_axis"}),
+    "init": (InitialData, _keys(InitialData, checkpoint_path="checkpoint")),
+    "solver": (SolverConfig, _keys(SolverConfig)),
+    "cutoff": (ExperimentConfig, {"k": "cutoff_k", "R": "cutoff_R"}),
+    "emit": (
+        ExperimentConfig,
+        {"csv": "emit_csv", "svg": "emit_svg", "checkpoints": "emit_checkpoints", "out_dir": "out_dir"},
+    ),
+}
+# the only defaults no dataclass owns
+DEFAULTS = {"problem": {"ndim": 1, "b": 0.5}, "grid": {"half_width": 20.0, "points_per_axis": 1024}}
+
+
 def _parse_floats(text):
     return tuple(float(s) for s in text.split(","))
 
 
+def _parse_bool(text):
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _converter(tp):
+    """Text -> value for a field annotated tp (X | None converts as X)."""
+    tp = next((a for a in get_args(tp) if a is not type(None)), tp)
+    return {bool: _parse_bool, tuple: _parse_floats}.get(tp, tp)
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate; raises ConfigError listing all violations."""
+    """Parse and fully validate; raises ConfigError listing all violations.
+
+    Each dataclass is built from the keys present only, so its own defaults
+    fill the rest."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keep option names case-sensitive (N, L, M, R)
     try:
@@ -94,161 +115,67 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
     errs = []
+    # section -> field name -> value
+    given = {section: dict(DEFAULTS.get(section, {})) for section in CONFIG_KEYS}
     for section in cp.sections():
-        if section not in KNOWN_KEYS:
+        if section not in CONFIG_KEYS:
             errs.append(f"unknown section [{section}]")
             continue
+        cls, keys = CONFIG_KEYS[section]
+        types = get_type_hints(cls)
         for key in cp[section]:
-            if key not in KNOWN_KEYS[section]:
+            if key not in keys:
                 errs.append(f"unknown key {key!r} in [{section}]")
+                continue
+            try:
+                given[section][keys[key]] = _converter(types[keys[key]])(cp.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                errs.append(f"[{section}] {key}: {exc}")
 
-    def get(section, key, conv, default):
+    def build(section, cls, **values):
         try:
-            raw = cp.get(section, key, fallback=None)
-            return default if raw is None else conv(raw)
-        except (ValueError, configparser.Error) as exc:
-            errs.append(f"[{section}] {key}: {exc}")
-            return default
+            return cls(**values)
+        except InvariantError as exc:
+            errs.append(f"[{section}] {exc}")
 
-    N = get("problem", "N", int, 1)
-    b = get("problem", "b", float, 0.5)
-    L = get("grid", "L", float, 20.0)
-    M = get("grid", "M", int, 1024)
-    kind = get("init", "kind", str, "gaussian")
-    amplitude = get("init", "amplitude", float, 1.0)
-    width = get("init", "width", float, 1.0)
-    center = get("init", "center", _parse_floats, (0.0,))
-    amplitude2 = get("init", "amplitude2", float, 0.0)
-    width2 = get("init", "width2", float, 1.0)
-    center2 = get("init", "center2", _parse_floats, (0.0,))
-    checkpoint = get("init", "checkpoint", str, None)
+    params = build("problem", ProblemParams, **given["problem"])
+    grid = build("grid", Grid, ndim=given["problem"]["ndim"], **given["grid"])
+    init = build("init", InitialData, **given["init"])
+    solver = build("solver", SolverConfig, **given["solver"])
+    cfg = ExperimentConfig(params, grid, init, solver, **given["cutoff"], **given["emit"])
 
-    params = grid = init = None
-    try:
-        params = ProblemParams(N, b)
-    except InvariantError as exc:
-        errs.append(f"[problem] {exc}")
-    try:
-        grid = Grid(N, L, M)
-    except InvariantError as exc:
-        errs.append(f"[grid] {exc}")
-    try:
-        init = InitialData(
-            kind=kind,
-            amplitude=amplitude,
-            width=width,
-            center=center,
-            amplitude2=amplitude2,
-            width2=width2,
-            center2=center2,
-            checkpoint_path=checkpoint,
-        )
-    except InvariantError as exc:
-        errs.append(f"[init] {exc}")
-
-    solver = None
-    try:
-        solver = SolverConfig(
-            dt0=get("solver", "dt0", float, 1e-4),
-            dt_floor=get("solver", "dt_floor", float, 1e-9),
-            t_max=get("solver", "t_max", float, 1.0),
-            safety=get("solver", "safety", float, 1.0),
-            c_cfl=get("solver", "c_cfl", float, 0.1),
-            gradnorm_ceiling=get("solver", "gradnorm_ceiling", float, 1e6),
-            supnorm_ceiling=get("solver", "supnorm_ceiling", float, 1e6),
-            sample_stride=get("solver", "sample_stride", int, 10),
-            checkpoint_stride=get("solver", "checkpoint_stride", int, 0),
-        )
-    except InvariantError as exc:
-        errs.append(f"[solver] {exc}")
-
-    k = None
-    R_values = get("cutoff", "R", _parse_floats, (2.0, 4.0, 8.0))
-    if params is not None:
-        k = get("cutoff", "k", int, default_k(params))
-        from .cutoff import ConstraintError, check_k
-
+    if params is not None and cfg.cutoff_k is not None:
         try:
-            check_k(k, params)
+            check_k(cfg.cutoff_k, params)
         except ConstraintError as exc:
             errs.append(f"[cutoff] {exc}")
-    if any(r <= 0 for r in R_values):
+    if any(r <= 0 for r in cfg.cutoff_R):
         errs.append("[cutoff] R values must be positive")
-    if list(R_values) != sorted(R_values):
+    if list(cfg.cutoff_R) != sorted(cfg.cutoff_R):
         errs.append("[cutoff] R values must be sorted ascending")
-
-    def get_bool(section, key, default):
-        raw = cp.get(section, key, fallback=None)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        errs.append(f"[{section}] {key}: not a boolean: {raw!r}")
-        return default
-
-    emit_csv = get_bool("emit", "csv", True)
-    emit_svg = get_bool("emit", "svg", False)
-    emit_checkpoints = get_bool("emit", "checkpoints", False)
-    out_dir = get("emit", "out_dir", str, "run_out")
 
     if errs:
         raise ConfigError(errs)
-    return ExperimentConfig(
-        params=params,
-        grid=grid,
-        init=init,
-        solver=solver,
-        cutoff_k=k,
-        cutoff_R=R_values,
-        emit_csv=emit_csv,
-        emit_svg=emit_svg,
-        emit_checkpoints=emit_checkpoints,
-        out_dir=out_dir,
-    )
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return cfg
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return "nan" if np.isnan(x) else format(x, ".17g")
-    return str(x)
+    return format(x, ".17g")  # round-trips every float; NaN prints as nan
 
 
 def write_series_csv(path, report, R):
     fd = report.zR_second_fd(R)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(obs.CSV_COLUMNS) + "\n")
-        for i, s in enumerate(report.series):
-            v = s.virials[R]
-            row = [
-                s.t,
-                s.dt,
-                s.conservation.mass,
-                s.conservation.energy,
-                s.grad_norm,
-                s.sup_norm,
-                v.zR,
-                v.zR_prime,
-                v.zR_second_formula,
-                float(fd[i]),
-                v.K1,
-                v.K2,
-                v.K3,
-                v.alpha_check,
-            ]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for s, s_fd in zip(report.series, fd):
+            fh.write(",".join(_fmt(x) for x in s.row(R, float(s_fd)).values()) + "\n")
 
 
 def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     """Run one experiment and emit manifest, CSVs, optional checkpoints/SVGs."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    profiles = [build_cutoff(cfg.cutoff_k, R, cfg.params) for R in cfg.cutoff_R]
+    k = default_k(cfg.params) if cfg.cutoff_k is None else cfg.cutoff_k
+    profiles = [build_cutoff(k, R, cfg.params) for R in cfg.cutoff_R]
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints") if cfg.emit_checkpoints else None
     solver_cfg = cfg.solver
     if cfg.emit_checkpoints and solver_cfg.checkpoint_stride == 0:
@@ -268,7 +195,7 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
 
     # the effective config, less out_dir: reruns into other directories
     # must write the same bytes
-    config = asdict(replace(cfg, solver=solver_cfg))
+    config = asdict(replace(cfg, solver=solver_cfg, cutoff_k=k))
     del config["out_dir"]
     manifest = {
         "run_id": run_id,
@@ -292,26 +219,32 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     return EXIT_CODES[report.outcome]
 
 
+SWEEP_AXES = {
+    "amplitude": lambda cfg, v: replace(cfg, init=replace(cfg.init, amplitude=v)),
+    "R": lambda cfg, v: replace(cfg, cutoff_R=(v,)),
+    "b": lambda cfg, v: replace(cfg, params=ProblemParams(cfg.params.ndim, v)),
+    "k": lambda cfg, v: replace(cfg, cutoff_k=int(v)),
+}
+
+
 def _run_one_sweep_value(args):
+    """(value, manifest, None), or (value, None, message) when the value
+    gives an invalid experiment."""
     cfg, axis, value, sub = args
-    if axis == "amplitude":
-        cfg = replace(cfg, init=replace(cfg.init, amplitude=value))
-    elif axis == "R":
-        cfg = replace(cfg, cutoff_R=(value,))
-    elif axis == "b":
-        cfg = replace(cfg, params=ProblemParams(cfg.params.ndim, value))
-    elif axis == "k":
-        cfg = replace(cfg, cutoff_k=int(value))
-    else:
-        raise InvariantError(f"sweep axis must be amplitude, R, b or k, not {axis!r}")
-    cfg = replace(cfg, out_dir=sub)
-    code = simulate(cfg, run_id=f"sweep_{axis}_{value:g}")
+    try:
+        cfg = replace(SWEEP_AXES[axis](cfg, value), out_dir=sub)
+        simulate(cfg, run_id=f"sweep_{axis}_{value:g}")
+    except InvariantError as exc:
+        return value, None, f"{axis}={value:g}: {exc}"
     with open(os.path.join(sub, "manifest.json")) as fh:
-        man = json.load(fh)
-    return value, code, man
+        return value, json.load(fh), None
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> int:
+    """One run per value; a value that fails becomes an error row, and the
+    sweep returns 1 if any did."""
+    if axis not in SWEEP_AXES:
+        raise InvariantError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}, not {axis!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     jobs = [
         (cfg, axis, v, os.path.join(cfg.out_dir, f"{axis}_{v:g}")) for v in values
@@ -324,19 +257,23 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> int:
 
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
         fh.write(f"{axis},outcome,t_end,E0,alpha_mean\n")
-        for value, _code, man in results:
+        for value, man, error in results:
+            if error is not None:
+                print(f"error: {error}", file=sys.stderr)
+                fh.write(f"{_fmt(float(value))},error,nan,nan,nan\n")
+                continue
             fh.write(
                 f"{_fmt(float(value))},{man['outcome']},{_fmt(man['t_end'])},"
                 f"{_fmt(man['E0'])},{_fmt(man['alpha_summary']['mean'])}\n"
             )
-    return 0
+    return 1 if any(error is not None for _, _, error in results) else 0
 
 
 def _read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    return header, np.array(rows)
+    return header, np.array(rows).reshape(-1, len(header))
 
 
 def plot(run_dir: str) -> int:
@@ -394,7 +331,9 @@ def plot(run_dir: str) -> int:
 
 def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
     """Recompute diagnostics from stored checkpoints and cross-check the
-    stored CSV rows at matching times."""
+    stored CSV rows at matching times, in every column one checkpoint
+    reproduces (all but dt and zR_second_fd). Fails when nothing was checked
+    or when a checkpoint has no row at its time (unmatched, per radius)."""
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         man = json.load(fh)
     if "cutoff_k" not in man or "cutoff_R" not in man:
@@ -408,8 +347,9 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
     for R in R_values:
         header, rows = _read_csv(os.path.join(run_dir, f"series_R{R:g}.csv"))
         csv_data[R] = (dict((n, i) for i, n in enumerate(header)), rows)
+    audited = [c for c in obs.CSV_COLUMNS if c not in ("dt", "zR_second_fd")]
 
-    checked = 0
+    checked = unmatched = 0
     max_err = 0.0
     plan = None
     for path in ckpts:
@@ -419,35 +359,25 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
             gw = obs.GridWeights(f.grid, f.params)
             pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in R_values}
         t = meta["t"]
-        cons = obs.conservation(plan, f, gw)
-        virials = obs.virial_z_second(plan, f, gw, pgs)
+        s = obs.sample(plan, f, gw, pgs, t, float("nan"))
         for R in R_values:
             col, rows = csv_data[R]
             match = np.where(np.abs(rows[:, col["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
             if match.size == 0:
+                unmatched += 1
                 continue
-            row = rows[match[0]]
-            v = virials[R]
-            recomputed = {
-                "mass": cons.mass,
-                "energy": cons.energy,
-                "grad_norm": float(np.sqrt(cons.kinetic)),
-                "zR": v.zR,
-                "zR_prime": v.zR_prime,
-                "zR_second_formula": v.zR_second_formula,
-                "K1": v.K1,
-                "K2": v.K2,
-                "K3": v.K3,
-                "alpha_check": v.alpha_check,
-            }
-            for name, val in recomputed.items():
-                stored = row[col[name]]
-                if np.isnan(val) and np.isnan(stored):
+            stored = rows[match[0]]
+            recomputed = s.row(R, float("nan"))
+            for name in audited:
+                val, ref = recomputed[name], stored[col[name]]
+                if np.isnan(val) and np.isnan(ref):
                     continue
-                err = abs(val - stored) / max(1.0, abs(stored))
-                max_err = max(max_err, err)
+                err = abs(val - ref) / max(1.0, abs(ref))
+                # NaN on one side only is a mismatch
+                max_err = max(max_err, np.inf if np.isnan(err) else err)
             checked += 1
-    return {"checked": checked, "max_rel_err": max_err, "passed": bool(max_err <= rel_tol)}
+    passed = checked > 0 and unmatched == 0 and max_err <= rel_tol
+    return {"checked": checked, "unmatched": unmatched, "max_rel_err": max_err, "passed": passed}
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +395,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True, choices=["amplitude", "R", "b", "k"])
+    p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out-dir", default=None)
@@ -496,16 +426,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        if args.command == "simulate":
-            cfg = load_config(args.config)
+        if args.command in ("simulate", "sweep"):
+            with open(args.config) as fh:
+                cfg = parse_config(fh.read())
             if args.out_dir:
                 cfg = replace(cfg, out_dir=args.out_dir)
-            return simulate(cfg)
-
-        if args.command == "sweep":
-            cfg = load_config(args.config)
-            if args.out_dir:
-                cfg = replace(cfg, out_dir=args.out_dir)
+            if args.command == "simulate":
+                return simulate(cfg)
             values = [float(s) for s in args.values.split(",")]
             return sweep(cfg, args.axis, values, workers=args.workers)
 

@@ -8,6 +8,7 @@ pointwise).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 import warnings
@@ -68,7 +69,6 @@ class Grid:
     ndim: int
     half_width: float
     points_per_axis: int
-    offset: bool = True
 
     def __post_init__(self):
         if self.ndim not in (1, 2, 3):
@@ -97,8 +97,7 @@ class Grid:
 
     def axis_coords(self) -> np.ndarray:
         j = np.arange(self.points_per_axis, dtype=float)
-        shift = 0.5 if self.offset else 0.0
-        return -self.half_width + (j + shift) * self.h
+        return -self.half_width + (j + 0.5) * self.h
 
     def coords(self) -> list:
         """Per-axis coordinate arrays broadcast to the full grid shape."""
@@ -106,7 +105,7 @@ class Grid:
         return list(np.meshgrid(*([x] * self.ndim), indexing="ij", sparse=True))
 
     def radii(self) -> np.ndarray:
-        """|x| on the full grid; strictly positive when offset is set."""
+        """|x| on the full grid; strictly positive on the cell centers."""
         r2 = sum(xj**2 for xj in self.coords())
         return np.sqrt(r2)
 
@@ -198,15 +197,6 @@ def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
     return Field(params, grid, u)
 
 
-def l2_norm(f: Field) -> float:
-    """sqrt of the rectangle-rule quadrature of |u|^2."""
-    return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)))
-
-
-def sup_norm(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format: 16-byte magic/version header, then N and M per axis and
 # L and b as little-endian 64-bit values, then M^N interleaved (re, im)
@@ -214,21 +204,19 @@ def sup_norm(f: Field) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _write_replacing(path: str, *chunks: bytes) -> None:
+    """Write to a temporary file beside path, then rename it over path, so a
+    reader finds the old file or the whole new one, never part of one."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    os.replace(tmp, path)
+
+
 def write_checkpoint(path, f: Field, t: float = 0.0, run_id: str = "") -> None:
     path = str(path)
     grid, params = f.grid, f.params
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<q", grid.ndim))
-        for _ in range(grid.ndim):
-            fh.write(struct.pack("<q", grid.points_per_axis))
-        fh.write(struct.pack("<d", grid.half_width))
-        fh.write(struct.pack("<d", params.b))
-        inter = np.empty(2 * grid.size)
-        flat = f.values.ravel()
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.astype("<f8").tobytes())
     manifest = {
         "ndim": grid.ndim,
         "points_per_axis": grid.points_per_axis,
@@ -238,28 +226,37 @@ def write_checkpoint(path, f: Field, t: float = 0.0, run_id: str = "") -> None:
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "run_id": run_id,
     }
-    with open(path + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    # the sidecar goes first: a checkpoint that exists has its sidecar
+    _write_replacing(path + ".json", json.dumps(manifest, indent=2).encode())
+    header = struct.pack(
+        f"<{1 + grid.ndim}q2d", grid.ndim, *grid.shape, grid.half_width, params.b
+    )
+    # a complex128 is its (re, im) float64 pair
+    _write_replacing(path, CHECKPOINT_MAGIC, header, f.values.astype("<c16").tobytes())
 
 
 def read_checkpoint(path):
-    """Returns (Field, manifest dict); manifest is {} if the sidecar is absent."""
+    """Returns (Field, manifest dict); manifest is {} if the sidecar is absent.
+
+    Raises InvariantError unless the file is exactly one checkpoint: a bad
+    magic, a short header and a size other than the header's grid implies
+    are all rejected.
+    """
     path = str(path)
     with open(path, "rb") as fh:
-        magic = fh.read(16)
-        if magic != CHECKPOINT_MAGIC:
-            raise InvariantError(f"bad checkpoint magic in {path}")
-        (ndim,) = struct.unpack("<q", fh.read(8))
-        ms = [struct.unpack("<q", fh.read(8))[0] for _ in range(ndim)]
-        if len(set(ms)) != 1:
-            raise InvariantError("per-axis point counts must agree")
-        (half_width,) = struct.unpack("<d", fh.read(8))
-        (b,) = struct.unpack("<d", fh.read(8))
-        n = ms[0] ** ndim
-        inter = np.frombuffer(fh.read(16 * n), dtype="<f8")
-        if inter.size != 2 * n:
-            raise InvariantError(f"truncated checkpoint {path}")
-    values = (inter[0::2] + 1j * inter[1::2]).reshape((ms[0],) * ndim)
+        data = fh.read()
+    if data[:16] != CHECKPOINT_MAGIC:
+        raise InvariantError(f"bad checkpoint magic in {path}")
+    ndim = struct.unpack_from("<q", data, 16)[0] if len(data) >= 24 else None
+    if ndim not in (1, 2, 3) or len(data) < 40 + 8 * ndim:
+        raise InvariantError(f"bad or truncated checkpoint header in {path}")
+    *ms, half_width, b = struct.unpack_from(f"<{ndim}q2d", data, 24)
+    if len(set(ms)) != 1 or ms[0] <= 0:
+        raise InvariantError("per-axis point counts must be positive and agree")
+    expected = 40 + 8 * ndim + 16 * ms[0] ** ndim
+    if len(data) != expected:
+        raise InvariantError(f"checkpoint {path} is {len(data)} bytes, expected {expected}")
+    values = np.frombuffer(data, dtype="<c16", offset=40 + 8 * ndim).astype(complex)
     params = ProblemParams(ndim, b)
     grid = Grid(ndim, half_width, ms[0])
     meta = {}
@@ -268,4 +265,4 @@ def read_checkpoint(path):
             meta = json.load(fh)
     except OSError:
         pass
-    return Field(params, grid, values), meta
+    return Field(params, grid, values.reshape(grid.shape)), meta

@@ -242,31 +242,3 @@ def power_gap_demo(b_values=None, dims=(1, 2, 3)) -> list:
             )
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Young-inequality bookkeeping used when the empirical constant feeds the
-# cutoff epsilon search: x*y <= eps*x^p + C(eps)*y^q with the (2-b)-dual pair.
-# ---------------------------------------------------------------------------
-
-
-def young_pair(b: float) -> tuple:
-    """Conjugate exponents (2/(2-b), 2/b); 1/p + 1/q = 1."""
-    if not 0.0 < b < 2.0:
-        raise InvariantError("b must lie in (0, 2)")
-    return 2.0 / (2.0 - b), 2.0 / b
-
-
-def young_split_constant(eps: float, b: float) -> float:
-    """C(eps) with x*y <= eps*x^p + C(eps)*y^q for x, y >= 0.
-
-    From x*y <= x^p/(p*t^p) + t^q*y^q/q at t>0, choosing t so the first
-    coefficient equals eps. The eps power is the paper's (2-b)/b.
-    """
-    p, q = young_pair(b)
-    return (1.0 / q) * (eps * p) ** (-q / p)
-
-
-def phivare_constant(c_hat: float) -> float:
-    """Constant c fed to the epsilon search: empirical interpolation
-    constant times the factor 2 from expanding (a+b)^2 <= 2a^2 + 2b^2."""
-    return 2.0 * c_hat

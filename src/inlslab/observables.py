@@ -39,6 +39,27 @@ class VirialReport:
     alpha_check: float
 
 
+@dataclass
+class Sample:
+    """The diagnostics of the field at time t, reached by a step of size dt."""
+
+    t: float
+    dt: float
+    conservation: ConservationReport
+    grad_norm: float
+    sup_norm: float
+    virials: dict  # R -> VirialReport
+
+    def row(self, R: float, zR_second_fd: float) -> dict:
+        """The series row of radius R keyed by CSV_COLUMNS: the fields of the
+        same name of this sample, its conservation report and the virial
+        report of R. The second difference of z_R spans three samples, so
+        the caller gives it."""
+        known = {**vars(self), **vars(self.conservation), **vars(self.virials[R])}
+        known["zR_second_fd"] = zR_second_fd
+        return {name: known[name] for name in CSV_COLUMNS}
+
+
 class GridWeights:
     """Per-(grid, params) arrays reused across time samples: |x|, |x|^-b."""
 
@@ -137,6 +158,19 @@ def virial_z_second(
             alpha_check=alpha,
         )
     return reports
+
+
+def sample(plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict, t: float, dt: float) -> Sample:
+    """Conservation and every radius's virial report for f at time t."""
+    cons = conservation(plan, f, gw)
+    return Sample(
+        t=t,
+        dt=dt,
+        conservation=cons,
+        grad_norm=float(np.sqrt(cons.kinetic)),
+        sup_norm=float(np.max(np.abs(f.values))),
+        virials=virial_z_second(plan, f, gw, pgs),
+    )
 
 
 CSV_COLUMNS = [

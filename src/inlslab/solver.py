@@ -53,16 +53,6 @@ class SolverConfig:
 
 
 @dataclass
-class Sample:
-    t: float
-    dt: float
-    conservation: obs.ConservationReport
-    grad_norm: float
-    sup_norm: float
-    virials: dict  # R -> VirialReport
-
-
-@dataclass
 class RunReport:
     outcome: str
     t_end: float
@@ -183,29 +173,15 @@ def run(
     sigma = params.sigma
 
     u = f.values.copy()
-
-    def sample(t, dt):
-        fld = Field(params, grid, u)
-        cons = obs.conservation(plan, fld, gw)
-        return Sample(
-            t=t,
-            dt=dt,
-            conservation=cons,
-            grad_norm=float(np.sqrt(cons.kinetic)),
-            sup_norm=float(np.max(np.abs(u))),
-            virials=obs.virial_z_second(plan, fld, gw, pgs),
-        )
-
-    series = [sample(0.0, cfg.dt0)]
+    series = [obs.sample(plan, f, gw, pgs, 0.0, cfg.dt0)]
     mass0 = series[0].conservation.mass
-    energy0 = series[0].conservation.energy
     gn_floor_time = None
     report = RunReport(
         outcome=OUTCOME_REACHED_T_MAX,
         t_end=0.0,
         steps=0,
         series=series,
-        energy0=energy0,
+        energy0=series[0].conservation.energy,
         mass0=mass0,
     )
 
@@ -217,6 +193,32 @@ def run(
         write_checkpoint(path, Field(params, grid, u), t=t, run_id=run_id)
         report.checkpoints.append(path)
 
+    def observe(t, dt):
+        """Flush the pending linear tail and take a sample at t; True when
+        the sample stops the run (mass drift or a ceiling)."""
+        nonlocal u, pending, last_sample_t
+        u = plan.free_propagate_array(u, pending)
+        pending = 0.0
+        s = obs.sample(plan, Field(params, grid, u), gw, pgs, t, dt)
+        series.append(s)
+        report.t_end = t
+        report.steps = step
+        drift = abs(s.conservation.mass / mass0 - 1.0) if mass0 > 0 else 0.0
+        if drift > MASS_DRIFT_LIMIT:
+            report.outcome = OUTCOME_INSTABILITY
+            return True
+        if cfg.checkpoint_stride and step % (cfg.sample_stride * cfg.checkpoint_stride) == 0:
+            checkpoint(t, f"{step:09d}")
+        if s.grad_norm > cfg.gradnorm_ceiling or s.sup_norm > cfg.supnorm_ceiling:
+            report.gradnorm_ceiling_hit = s.grad_norm > cfg.gradnorm_ceiling
+            report.outcome = OUTCOME_BLOWUP
+            lo = gn_floor_time if gn_floor_time is not None else last_sample_t
+            report.blowup_time_bracket = (lo, t)
+            checkpoint(t, "final")
+            return True
+        last_sample_t = t
+        return False
+
     if cfg.checkpoint_stride:
         checkpoint(0.0, "000000000")
 
@@ -225,6 +227,7 @@ def run(
     # and flushed before each sample. Exactly Strang, half the transforms.
     t = 0.0
     step = 0
+    step_dt = cfg.dt0  # size of the last step taken
     pending = 0.0  # linear propagation owed to reach physical time t
     last_sample_t = 0.0
     # phase-rotation rate |x|^-b |u|^sigma driving the step control; after
@@ -239,8 +242,12 @@ def run(
                 report.dt_floor_hit = True
                 gn_floor_time = t
         # avoid a roundoff-sized final step: it would poison the sample
-        # spacing used by the finite-difference diagnostics
+        # spacing used by the finite-difference diagnostics. The summed
+        # steps fell short of t_max by roundoff, so this is the end of the
+        # run: sample the last step if the stride skipped it.
         if cfg.t_max - t <= 1e-5 * dt:
+            if series[-1].t != t and observe(t, step_dt):
+                return report
             break
         dt = min(dt, cfg.t_max - t)
 
@@ -256,30 +263,10 @@ def run(
         u = unew
         t += dt
         step += 1
+        step_dt = dt
 
-        if step % cfg.sample_stride == 0 or t >= cfg.t_max:
-            u = plan.free_propagate_array(u, pending)
-            pending = 0.0
-            s = sample(t, dt)
-            series.append(s)
-            drift = abs(s.conservation.mass / mass0 - 1.0) if mass0 > 0 else 0.0
-            if drift > MASS_DRIFT_LIMIT:
-                report.outcome = OUTCOME_INSTABILITY
-                report.t_end = t
-                report.steps = step
-                return report
-            if cfg.checkpoint_stride and step % (cfg.sample_stride * cfg.checkpoint_stride) == 0:
-                checkpoint(t, f"{step:09d}")
-            if s.grad_norm > cfg.gradnorm_ceiling or s.sup_norm > cfg.supnorm_ceiling:
-                report.gradnorm_ceiling_hit = s.grad_norm > cfg.gradnorm_ceiling
-                report.outcome = OUTCOME_BLOWUP
-                lo = gn_floor_time if gn_floor_time is not None else last_sample_t
-                report.blowup_time_bracket = (lo, t)
-                report.t_end = t
-                report.steps = step
-                checkpoint(t, "final")
-                return report
-            last_sample_t = t
+        if (step % cfg.sample_stride == 0 or t >= cfg.t_max) and observe(t, dt):
+            return report
 
     u = plan.free_propagate_array(u, pending)
     report.t_end = t

@@ -3,9 +3,22 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inlslab.cli import ConfigError, load_config, main, parse_config, simulate, sweep, virial_audit
+from inlslab.cli import (
+    CONFIG_KEYS,
+    ConfigError,
+    main,
+    parse_config,
+    virial_audit,
+)
+from inlslab.core import Field, Grid, InitialData, ProblemParams, write_checkpoint
+from inlslab.solver import SolverConfig
+
+# few, reproducible examples: these run in the default suite
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 MINIMAL = """
 [problem]
@@ -32,13 +45,113 @@ R = 2,4
 """
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _float_lists(lo, hi, sort=False):
+    lists = st.lists(st.floats(lo, hi), min_size=1, max_size=3)
+    return lists.map(lambda xs: ",".join(repr(x) for x in (sorted(xs) if sort else xs)))
+
+
+# valid text for every config key
+KEY_VALUES = {
+    "problem": {"N": st.sampled_from("123"), "b": _floats(0.05, 1.95)},
+    "grid": {"L": _floats(1.0, 50.0), "M": st.sampled_from(["16", "64", "256"])},
+    "init": {
+        "kind": st.sampled_from(["gaussian", "shifted_gaussian", "sum_of_gaussians"]),
+        "amplitude": _floats(-2.0, 2.0),
+        "width": _floats(0.1, 3.0),
+        "center": _float_lists(-1.0, 1.0),
+        "amplitude2": _floats(-2.0, 2.0),
+        "width2": _floats(0.1, 3.0),
+        "center2": _float_lists(-1.0, 1.0),
+        "checkpoint": st.sampled_from(["seed.bin", "runs/a/ckpt_final.bin"]),
+    },
+    "solver": {
+        "dt0": _floats(1e-4, 1e-2),
+        "dt_floor": _floats(1e-9, 1e-5),
+        "t_max": _floats(0.01, 2.0),
+        "safety": _floats(0.1, 1.0),
+        "c_cfl": _floats(0.01, 1.0),
+        "gradnorm_ceiling": _floats(1.0, 1e9),
+        "supnorm_ceiling": _floats(1.0, 1e9),
+        "sample_stride": st.integers(1, 50).map(str),
+        "checkpoint_stride": st.integers(0, 5).map(str),
+    },
+    # past every lower bound on k for N <= 3
+    "cutoff": {"k": st.integers(100, 200).map(str), "R": _float_lists(0.5, 10.0, sort=True)},
+    "emit": {
+        "csv": st.sampled_from(["true", "false", "yes", "0"]),
+        "svg": st.sampled_from(["True", "no"]),
+        "checkpoints": st.sampled_from(["1", "false"]),
+        "out_dir": st.sampled_from(["run_out", "runs/sweep 1"]),
+    },
+}
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config with a random subset of its keys."""
+    lines = []
+    for section, keys in KEY_VALUES.items():
+        lines.append(f"[{section}]")
+        for key, values in keys.items():
+            if draw(st.booleans()):
+                lines.append(f"{key} = {draw(values)}")
+    return "\n".join(lines) + "\n"
+
+
+def render(cfg):
+    """Config text for cfg, from the key table read backwards."""
+    holders = {
+        "problem": cfg.params, "grid": cfg.grid, "init": cfg.init, "solver": cfg.solver,
+        "cutoff": cfg, "emit": cfg,
+    }
+    lines = []
+    for section, (_cls, keys) in CONFIG_KEYS.items():
+        lines.append(f"[{section}]")
+        for key, name in keys.items():
+            value = getattr(holders[section], name)
+            if isinstance(value, tuple):
+                value = ",".join(repr(x) for x in value)
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.params.ndim == 1
-        assert cfg.cutoff_k == 5  # default rule for N=1, b=0.5
+        assert cfg.cutoff_k is None  # simulate resolves it; see the manifest test
         assert cfg.cutoff_R == (2.0, 4.0)
         assert cfg.emit_csv is True
+
+    def test_defaults_come_from_the_dataclasses(self):
+        cfg = parse_config("[problem]\nb = 0.5\n")
+        assert cfg.params == ProblemParams(1, 0.5)
+        assert cfg.grid == Grid(1, 20.0, 1024)
+        assert cfg.init == InitialData()
+        assert cfg.solver == SolverConfig()
+        assert (cfg.cutoff_k, cfg.cutoff_R) == (None, (2.0, 4.0, 8.0))
+        assert (cfg.emit_csv, cfg.emit_svg, cfg.emit_checkpoints) == (True, False, False)
+        assert cfg.out_dir == "run_out"
+
+    @PROPERTY
+    @given(text=config_texts())
+    def test_render_and_parse_is_a_fixed_point(self, text):
+        cfg = parse_config(text)
+        assert parse_config(render(cfg)) == cfg
+
+    def test_bad_values_are_named_and_collected(self):
+        text = MINIMAL.replace("M = 256", "M = many") + "\n[emit]\ncsv = maybe\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.violations == [
+            "[grid] M: invalid literal for int() with base 10: 'many'",
+            "[emit] csv: not a boolean: 'maybe'",
+        ]
 
     def test_default_sample_stride(self):
         cfg = parse_config(MINIMAL.replace("sample_stride = 5\n", ""))
@@ -90,6 +203,7 @@ class TestSimulate:
         with open(os.path.join(out, "series_R2.csv")) as fh:
             header = fh.readline().strip()
         assert header.startswith("t,dt,mass,energy,grad_norm")
+        assert man["cutoff_k"] == 5  # default rule for N=1, b=0.5
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
@@ -152,6 +266,89 @@ class TestSweepPlotAudit:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "amplitude,outcome,t_end,E0,alpha_mean"
         assert len(lines) == 3
+
+    def sweep_b(self, tmp_path, values):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = str(tmp_path / "sw")
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "b", "--values", values]
+        code = main(argv + ["--out-dir", out])
+        with open(os.path.join(out, "summary.csv")) as fh:
+            return code, out, fh.read().strip().splitlines()
+
+    def test_sweep_over_b_uses_the_default_k_of_each_b(self, tmp_path):
+        # k = 5 suits b = 0.5 but not b = 0.3, which needs k > 6.67
+        code, out, lines = self.sweep_b(tmp_path, "0.5,0.3")
+        assert code == 0
+        assert [line.split(",")[1] for line in lines[1:]] == ["reached_t_max"] * 2
+        ks = []
+        for b in ("0.5", "0.3"):
+            with open(os.path.join(out, f"b_{b}", "manifest.json")) as fh:
+                ks.append(json.load(fh)["cutoff_k"])
+        assert ks == [5, 8]
+
+    def test_sweep_value_that_fails_is_an_error_row(self, tmp_path, capsys):
+        code, _out, lines = self.sweep_b(tmp_path, "2.5,0.5")
+        assert code == 1
+        assert lines[1] == "2.5,error,nan,nan,nan"
+        assert lines[2].startswith("0.5,reached_t_max,")
+        assert "b=2.5" in capsys.readouterr().err
+
+    def simulate_with_checkpoints(self, tmp_path, text=MINIMAL):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text + "\n[emit]\ncheckpoints = true\n")
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", out]) == 0
+        return out
+
+    def test_audit_fails_when_no_checkpoint_matches(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", out]) == 0
+        # the only checkpoint is at a time no row has
+        os.makedirs(os.path.join(out, "checkpoints"))
+        grid = Grid(1, 10.0, 256)
+        f = Field(ProblemParams(1, 0.5), grid, np.exp(-grid.radii() ** 2))
+        write_checkpoint(os.path.join(out, "checkpoints", "ckpt_x.bin"), f, t=0.0123)
+        report = virial_audit(out)
+        assert (report["checked"], report["unmatched"], report["passed"]) == (0, 2, False)
+        assert main(["virial-audit", out]) == 2
+
+    def test_audit_of_header_only_csvs_fails_cleanly(self, tmp_path):
+        out = self.simulate_with_checkpoints(tmp_path)
+        for R in (2, 4):
+            path = os.path.join(out, f"series_R{R}.csv")
+            with open(path) as fh:
+                header = fh.readline()
+            with open(path, "w") as fh:
+                fh.write(header)
+        report = virial_audit(out)
+        assert report["checked"] == 0 and report["unmatched"] > 0 and not report["passed"]
+        assert main(["virial-audit", out]) == 2
+
+    def test_audit_checks_the_last_step_of_a_roundoff_short_run(self, tmp_path):
+        # ten steps of 0.1 end at 0.9999999999999999, off the stride of 3
+        text = (
+            MINIMAL.replace("dt0 = 1e-3", "dt0 = 0.1")
+            .replace("dt_floor = 1e-7", "dt_floor = 1e-3")
+            .replace("t_max = 0.02", "t_max = 1.0")
+            .replace("sample_stride = 5", "sample_stride = 3")
+        )
+        out = self.simulate_with_checkpoints(tmp_path, text)
+        assert len(os.listdir(os.path.join(out, "checkpoints"))) == 2 * 5
+        report = virial_audit(out)
+        assert (report["checked"], report["unmatched"], report["passed"]) == (2 * 5, 0, True)
+
+    def test_corrupt_checkpoint_is_a_clean_error(self, tmp_path, capsys):
+        out = self.simulate_with_checkpoints(tmp_path)
+        path = os.path.join(out, "checkpoints", "ckpt_final.bin")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-3])
+        assert main(["virial-audit", out]) == 1
+        assert "bytes, expected" in capsys.readouterr().err
 
     def test_plot_emits_svg(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -1,7 +1,10 @@
 """Grid geometry, parameter invariants, initial data and checkpoint I/O."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from inlslab.core import (
@@ -12,12 +15,15 @@ from inlslab.core import (
     InvariantError,
     NonFiniteFieldError,
     ProblemParams,
-    l2_norm,
     read_checkpoint,
     realize,
-    sup_norm,
     write_checkpoint,
 )
+from inlslab.observables import GridWeights, conservation, sample
+from inlslab.spectral import SpectralPlan
+
+# few, reproducible examples: these run in the default suite
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 class TestProblemParams:
@@ -86,7 +92,8 @@ class TestInitialData:
         init = InitialData(kind="gaussian", amplitude=0.7, width=0.9)
         f = realize(init, params, grid)
         exact = np.sqrt(quad(lambda x: 0.49 * np.exp(-x**2 / 0.81), -np.inf, np.inf)[0])
-        assert l2_norm(f) == pytest.approx(exact, rel=1e-12)
+        mass = conservation(SpectralPlan(grid), f).mass
+        assert np.sqrt(mass) == pytest.approx(exact, rel=1e-12)
 
     def test_shifted_gaussian_peaks_at_center(self):
         params = ProblemParams(1, 0.5)
@@ -176,6 +183,58 @@ class TestCheckpoints:
         with pytest.raises(InvariantError):
             read_checkpoint(str(path))
 
+    @PROPERTY
+    @given(
+        shape=st.sampled_from([(1, 8), (2, 4), (3, 2)]),
+        b=st.floats(0.01, 1.99),
+        parts=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=128, max_size=128),
+    )
+    @example(shape=(1, 8), b=0.5, parts=[-0.0, 5e-324, 0.0, -1.5] * 32)
+    def test_round_trip_property(self, tmp_path_factory, shape, b, parts):
+        # any finite values, signed zeros and subnormals included, come back
+        # bit for bit
+        ndim, M = shape
+        vals = np.array(parts[: 2 * M**ndim]).view(complex).reshape((M,) * ndim)
+        f = Field(ProblemParams(ndim, b), Grid(ndim, 2.5, M), vals)
+        path = tmp_path_factory.mktemp("ckpt") / "state.bin"
+        write_checkpoint(path, f)
+        g, _meta = read_checkpoint(path)
+        assert g.values.tobytes() == f.values.tobytes()
+        assert (g.params, g.grid) == (f.params, f.grid)
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        grid, params = Grid(1, 1.0, 8), ProblemParams(1, 0.5)
+        old = Field(params, grid, np.ones(8, dtype=complex))
+        write_checkpoint(tmp_path / "a.bin", old)
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError):
+            write_checkpoint(tmp_path / "a.bin", Field(params, grid, 2.0 * old.values))
+        monkeypatch.undo()
+        g, _meta = read_checkpoint(tmp_path / "a.bin")
+        assert np.array_equal(g.values, old.values)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda data: data[:20],  # inside the dimension field
+            lambda data: data[:30],  # inside the point counts
+            lambda data: data[:-3],  # payload three bytes short
+            lambda data: data + b"junk",  # trailing bytes
+        ],
+        ids=["header-20-bytes", "header-30-bytes", "payload-short-3", "trailing-junk"],
+    )
+    def test_any_size_mismatch_rejected(self, tmp_path, cut):
+        f = Field(ProblemParams(1, 0.5), Grid(1, 1.0, 16), np.ones(16, dtype=complex))
+        path = tmp_path / "bad.bin"
+        write_checkpoint(path, f)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(InvariantError):
+            read_checkpoint(str(path))
+
     def test_from_checkpoint_initial_data(self, tmp_path):
         params = ProblemParams(1, 0.5)
         grid = Grid(1, 8.0, 32)
@@ -206,4 +265,5 @@ def test_sup_norm_matches_numpy():
     grid = Grid(1, 1.0, 8)
     vals = np.arange(8) * (0.3 + 0.4j)
     f = Field(params, grid, vals)
-    assert sup_norm(f) == pytest.approx(np.max(np.abs(vals)))
+    s = sample(SpectralPlan(grid), f, GridWeights(grid, params), {}, 0.0, 1e-3)
+    assert s.sup_norm == pytest.approx(np.max(np.abs(vals)))

@@ -1,5 +1,4 @@
-"""Weighted interpolation and Gagliardo-Nirenberg ratio checks, plus the
-Young-inequality exponent bookkeeping."""
+"""Weighted interpolation and Gagliardo-Nirenberg ratio checks."""
 
 import numpy as np
 import pytest
@@ -11,10 +10,7 @@ from inlslab.inequalities import (
     RadialWeight,
     estimate_constant,
     lhs_rhs,
-    phivare_constant,
     power_gap_demo,
-    young_pair,
-    young_split_constant,
 )
 
 P1 = ProblemParams(1, 0.5)
@@ -177,33 +173,3 @@ class TestPowerGap:
     def test_n3_b_half_classical_power(self):
         rows = power_gap_demo(b_values=[0.5], dims=(3,))
         assert rows[0]["classical_power"] == pytest.approx(1.0 / 3.0)
-
-
-class TestYoungBookkeeping:
-    def test_conjugate_exponents(self):
-        for b in (0.5, 1.0, 1.5):
-            p, q = young_pair(b)
-            assert 1.0 / p + 1.0 / q == pytest.approx(1.0, abs=1e-14)
-        assert young_pair(1.0) == (2.0, 2.0)
-
-    def test_young_pair_domain(self):
-        with pytest.raises(InvariantError):
-            young_pair(2.0)
-
-    @pytest.mark.parametrize("b,eps", [(0.5, 0.1), (1.0, 0.3), (1.5, 0.05)])
-    def test_split_inequality_holds_pointwise(self, b, eps):
-        p, q = young_pair(b)
-        C = young_split_constant(eps, b)
-        xs = np.geomspace(1e-3, 1e3, 60)
-        ys = np.geomspace(1e-3, 1e3, 60)
-        X, Y = np.meshgrid(xs, ys)
-        assert np.all(X * Y <= eps * X**p + C * Y**q + 1e-12 * (X * Y))
-
-    def test_split_constant_eps_power(self):
-        # C(eps) scales as eps^(-(2-b)/b)
-        b = 0.5
-        ratio = young_split_constant(1.0, b) / young_split_constant(2.0, b)
-        assert ratio == pytest.approx(2.0 ** ((2.0 - b) / b), rel=1e-12)
-
-    def test_phivare_constant_doubles(self):
-        assert phivare_constant(3.7) == pytest.approx(7.4)

@@ -7,11 +7,13 @@ from scipy.integrate import quad
 
 from inlslab.core import Field, Grid, InitialData, ProblemParams, realize
 from inlslab.cutoff import build_cutoff, default_k
+from inlslab import observables
 from inlslab.observables import (
     CSV_COLUMNS,
     GridWeights,
     ProfileOnGrid,
     conservation,
+    sample,
     virial_z_second,
 )
 from inlslab.spectral import SpectralPlan
@@ -251,6 +253,36 @@ def test_csv_column_order_is_fixed():
         "K3",
         "alpha_check",
     ]
+
+
+def test_sample_row_is_keyed_by_csv_columns(grid, plan):
+    gw = GridWeights(grid, PARAMS)
+    pgs = {R: ProfileOnGrid(build_cutoff(5, R, PARAMS), gw) for R in (2.0, 4.0)}
+    f = make(grid, 0.5 * np.exp(-((grid.coords()[0] - 0.3) ** 2)) * np.exp(0.2j * grid.coords()[0]))
+    row = sample(plan, f, gw, pgs, 0.25, 1e-3).row(4.0, -1.5)
+    assert list(row) == CSV_COLUMNS
+    cons = conservation(plan, f, gw)
+    v = virial_z_second(plan, f, gw, pgs)[4.0]
+    assert (row["t"], row["dt"], row["zR_second_fd"]) == (0.25, 1e-3, -1.5)
+    assert (row["mass"], row["energy"]) == (cons.mass, cons.energy)
+    assert row["grad_norm"] == np.sqrt(cons.kinetic)
+    assert row["sup_norm"] == np.max(np.abs(f.values))
+    for name in ("zR", "zR_prime", "zR_second_formula", "K1", "K2", "K3", "alpha_check"):
+        assert row[name] == getattr(v, name)
+
+
+def test_sample_calls_through_module_names(grid, plan, monkeypatch):
+    # wrappers set on the module, such as a profiler's, see every sample
+    calls = []
+    for name in ("conservation", "virial_z_second"):
+        orig = getattr(observables, name)
+        monkeypatch.setattr(
+            observables, name, lambda *a, _orig=orig, _name=name: calls.append(_name) or _orig(*a)
+        )
+    gw = GridWeights(grid, PARAMS)
+    pgs = {2.0: ProfileOnGrid(build_cutoff(5, 2.0, PARAMS), gw)}
+    sample(plan, make(grid, np.exp(-grid.coords()[0] ** 2)), gw, pgs, 0.0, 1e-3)
+    assert calls == ["conservation", "virial_z_second"]
 
 
 def test_grid_weights_radius_power(grid):

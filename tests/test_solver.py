@@ -282,6 +282,21 @@ class TestRun:
             f = strang_step(PLAN, f, dt0)
         assert np.max(np.abs(stepped.values - f.values)) <= 1e-13
 
+    def test_roundoff_short_end_is_sampled(self, tmp_path):
+        # ten steps of 0.1 sum to 0.9999999999999999, so the run ends on the
+        # guard against a roundoff-sized step rather than at t_max; step 10
+        # is off the stride of 3 and must still be sampled, at the time of
+        # the final checkpoint
+        init = InitialData(kind="gaussian", amplitude=0.1, width=1.0)
+        cfg = self.cfg(dt0=0.1, dt_floor=1e-3, t_max=1.0, sample_stride=3, checkpoint_stride=1)
+        rep = run(init, PARAMS, GRID, cfg, PROFILES, checkpoint_dir=str(tmp_path))
+        assert rep.steps == 10 and rep.t_end < 1.0
+        # t = 0 and steps 3, 6, 9 and 10
+        assert len(rep.series) == 5
+        assert rep.series[-1].t == rep.t_end and rep.series[-1].dt == 0.1
+        _, meta = read_checkpoint(tmp_path / "ckpt_final.bin")
+        assert meta["t"] == rep.t_end
+
     def test_determinism(self):
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
         r1 = run(init, PARAMS, GRID, self.cfg(), PROFILES)
