@@ -197,6 +197,10 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     # must write the same bytes
     config = asdict(replace(cfg, solver=solver_cfg, cutoff_k=k))
     del config["out_dir"]
+    mass_drift, energy_drift = _drifts(
+        np.array([s.conservation.mass for s in report.series]),
+        np.array([s.conservation.energy for s in report.series]),
+    )
     manifest = {
         "run_id": run_id,
         **config,
@@ -209,6 +213,9 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
         "gradnorm_ceiling_hit": report.gradnorm_ceiling_hit,
         "dt_floor_hit": report.dt_floor_hit,
         "blowup_time_bracket": report.blowup_time_bracket,
+        "tracked_concavity": {f"{R:g}": report.tracked_concavity(R) for R in cfg.cutoff_R},
+        "max_mass_drift": float(np.max(mass_drift)),
+        "max_energy_drift": float(np.max(energy_drift)),
         "files": files,
     }
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
@@ -276,24 +283,28 @@ def _read_csv(path):
     return header, np.array(rows).reshape(-1, len(header))
 
 
+def _drifts(mass, energy):
+    """Relative drift of mass and energy from their first samples."""
+    return np.abs(mass / mass[0] - 1.0), np.abs(energy - energy[0]) / max(abs(energy[0]), 1e-30)
+
+
 def plot(run_dir: str) -> int:
     csvs = sorted(glob.glob(os.path.join(run_dir, "series_R*.csv")))
     if not csvs:
         raise FileNotFoundError(f"no series CSVs in {run_dir}")
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    header, rows0 = _read_csv(csvs[0])
+    tables = [_read_csv(path) for path in csvs]
+    for path, (_, rows) in zip(csvs, tables):
+        if rows.shape[0] == 0:
+            raise InvariantError(f"{path} has no rows to plot")
+    header, rows0 = tables[0]
     col = {name: i for i, name in enumerate(header)}
     t = rows0[:, col["t"]]
 
-    mass0, e0 = rows0[0, col["mass"]], rows0[0, col["energy"]]
+    mass_drift, energy_drift = _drifts(rows0[:, col["mass"]], rows0[:, col["energy"]])
     drift_series = [
-        ("mass drift", t, np.abs(rows0[:, col["mass"]] / mass0 - 1.0) + 1e-18, colors[0]),
-        (
-            "energy drift",
-            t,
-            np.abs(rows0[:, col["energy"]] - e0) / max(abs(e0), 1e-30) + 1e-18,
-            colors[1],
-        ),
+        ("mass drift", t, mass_drift + 1e-18, colors[0]),
+        ("energy drift", t, energy_drift + 1e-18, colors[1]),
     ]
     line_plot(
         os.path.join(run_dir, "conservation_drift.svg"),
@@ -303,8 +314,7 @@ def plot(run_dir: str) -> int:
         logy=True,
     )
 
-    for i, path in enumerate(csvs):
-        _, rows = _read_csv(path)
+    for path, (_, rows) in zip(csvs, tables):
         tag = os.path.basename(path)[len("series_") : -len(".csv")]
         line_plot(
             os.path.join(run_dir, f"zR_{tag}.svg"),
@@ -354,6 +364,8 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
     plan = None
     for path in ckpts:
         f, meta = read_checkpoint(path)
+        if "t" not in meta:
+            raise InvariantError(f"checkpoint {path} has no sidecar time; is {path}.json missing?")
         if plan is None:
             plan = SpectralPlan(f.grid)
             gw = obs.GridWeights(f.grid, f.params)

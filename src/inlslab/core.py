@@ -240,7 +240,7 @@ def read_checkpoint(path):
 
     Raises InvariantError unless the file is exactly one checkpoint: a bad
     magic, a short header and a size other than the header's grid implies
-    are all rejected.
+    are all rejected, as is a sidecar that is not a JSON object.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -265,4 +265,8 @@ def read_checkpoint(path):
             meta = json.load(fh)
     except OSError:
         pass
+    except ValueError as exc:
+        raise InvariantError(f"checkpoint sidecar {path}.json is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InvariantError(f"checkpoint sidecar {path}.json is not a JSON object")
     return Field(params, grid, values.reshape(grid.shape)), meta

@@ -99,6 +99,11 @@ def _build_bridge(k: int):
     return a, bridge
 
 
+def _over_rho(v, rho):
+    """v/rho, with its limit 2 at the origin."""
+    return np.where(rho > 0, v / np.where(rho > 0, rho, 1.0), 2.0)
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """Built by build_cutoff(); immutable. Radial profile functions take
@@ -183,8 +188,7 @@ class CutoffProfile:
     def dphi_R_over_r(self, r):
         """partial_r phi_R / r = v(rho)/rho; regular at the origin."""
         rho = np.asarray(r, dtype=float) / self.R
-        v = self.v(rho)
-        return np.where(rho > 0, v / np.where(rho > 0, rho, 1.0), 2.0)
+        return _over_rho(self.v(rho), rho)
 
     def phicond_expr(self, r):
         """partial_r phi_R - r partial^2_r phi_R, with the inner-region
@@ -204,8 +208,23 @@ class CutoffProfile:
     def bilaplacian_phi_R(self, r):
         """Lap^2 phi_R from closed-form radial derivatives of each piece."""
         rho = np.asarray(r, dtype=float) / self.R
+        return self._bilaplacian(rho, *self.v_derivs(rho))
+
+    def virial_profile(self, r):
+        """(phi_R, partial_r phi_R / r, partial^2_r phi_R, Lap^2 phi_R) at r
+        from one v_derivs evaluation; each equals its own evaluator's
+        result exactly."""
+        rho = np.asarray(r, dtype=float) / self.R
+        derivs = self.v_derivs(rho)
+        return (
+            self.R**2 * self.phi(rho),
+            _over_rho(derivs[0], rho),
+            derivs[1],
+            self._bilaplacian(rho, *derivs),
+        )
+
+    def _bilaplacian(self, rho, v, v1, v2, v3):
         n1 = self.params.ndim - 1
-        v, v1, v2, v3 = self.v_derivs(rho)
         inner = rho <= 1.0
         safe = np.where(inner, 1.0, rho)
         vor = np.where(inner, 2.0, v / safe)  # v/rho

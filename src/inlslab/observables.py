@@ -72,18 +72,21 @@ class GridWeights:
 
 
 class ProfileOnGrid:
-    """Radial cutoff-derived arrays evaluated once at the grid radii."""
+    """The per-radius weights of the virial sums at the grid radii, flat,
+    from one profile evaluation: each sum of virial_z_second is one of
+    them against one field density."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
         self.profile = profile
-        r = gw.r
-        self.phi_R = profile.phi_R(r)
-        self.dphi_over_r = profile.dphi_R_over_r(r)
-        self.d2phi = profile.d2phi_R(r)
-        self.bilap = profile.bilaplacian_phi_R(r)
+        N, b = gw.params.ndim, gw.params.b
+        r = gw.r.ravel()
+        self.phi_R, self.dphi_over_r, d2phi, self.bilap = profile.virial_profile(r)
         # (d2/r^2 - dphi/r^3) = (d2phi - dphi/r)/r^2
         r2 = r**2
-        self.aniso = (self.d2phi - self.dphi_over_r) / r2
+        self.aniso = (d2phi - self.dphi_over_r) / r2
+        self.w_t4 = -d2phi - (N - 1.0 + b * N / (2.0 - b)) * self.dphi_over_r
+        self.w_K1 = 2.0 - self.dphi_over_r  # Phi_1 / 4
+        self.w_K2 = (2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * self.w_K1  # Phi_2 cN / 2
 
 
 def conservation(plan: SpectralPlan, f: Field, gw: GridWeights | None = None) -> ConservationReport:
@@ -111,32 +114,37 @@ def virial_z_second(
     coef = (4.0 - 2.0 * b) / cN
 
     grads, xdot = plan.radial_derivative_arrays(f.values)
-    grad2 = sum(np.abs(g) ** 2 for g in grads)
+    u = f.values.ravel()
+    xdot = xdot.ravel()
+    grad2 = sum(np.abs(g) ** 2 for g in grads).ravel()
     xdot2 = np.abs(xdot) ** 2
-    absu2 = np.abs(f.values) ** 2
-    wup = gw.w_b * absu2 ** (params.p / 2.0)  # |x|^-b |u|^p
-    conj_u = np.conj(f.values)
+    absu2 = np.abs(u) ** 2
+    wup = gw.w_b.ravel() * absu2 ** (params.p / 2.0)  # |x|^-b |u|^p
+    im_xdot_conj_u = xdot.imag * u.real - xdot.real * u.imag
 
     G = quad * float(np.sum(grad2))
     P = quad * float(np.sum(wup))
     energy = 0.5 * G - params.energy_coefficient * P
 
+    product = np.empty_like(absu2)
+
+    def total(weight, density):
+        # the pairwise sum of the weighted integrand: z_R feeds a second
+        # difference in time, which multiplies its rounding by 4/h^2, so
+        # not np.einsum (sequential); not np.dot, whose BLAS rounding can
+        # change with the thread count
+        return float(np.sum(np.multiply(weight, density, out=product)))
+
     reports = {}
     for R, pg in pgs.items():
-        t1 = 4.0 * quad * float(np.sum(pg.dphi_over_r * grad2))
-        t2 = 4.0 * quad * float(np.sum(pg.aniso * xdot2))
-        t3 = -quad * float(np.sum(pg.bilap * absu2))
-        t4 = coef * quad * float(
-            np.sum((-pg.d2phi - (N - 1.0 + b * N / (2.0 - b)) * pg.dphi_over_r) * wup)
-        )
+        t1 = 4.0 * quad * total(pg.dphi_over_r, grad2)
+        t2 = 4.0 * quad * total(pg.aniso, xdot2)
+        t3 = -quad * total(pg.bilap, absu2)
+        t4 = coef * quad * total(pg.w_t4, wup)
         z_second = t1 + t2 + t3 + t4
 
-        K1 = -4.0 * quad * float(np.sum((2.0 - pg.dphi_over_r) * grad2)) + 4.0 * quad * float(
-            np.sum(pg.aniso * xdot2)
-        )
-        K2 = (2.0 / cN) * quad * float(
-            np.sum(((2.0 - b) * (2.0 - pg.d2phi) + (2.0 * N - 2.0 + b) * (2.0 - pg.dphi_over_r)) * wup)
-        )
+        K1 = -4.0 * quad * total(pg.w_K1, grad2) + t2
+        K2 = (2.0 / cN) * quad * total(pg.w_K2, wup)
         K3 = t3
 
         if abs(energy) > ALPHA_ENERGY_FLOOR:
@@ -144,9 +152,8 @@ def virial_z_second(
         else:
             alpha = float("nan")
 
-        zR = quad * float(np.sum(pg.phi_R * absu2))
-        integrand = pg.dphi_over_r * xdot * conj_u
-        z_prime = 2.0 * quad * float(np.sum(integrand.imag))
+        zR = quad * total(pg.phi_R, absu2)
+        z_prime = 2.0 * quad * total(pg.dphi_over_r, im_xdot_conj_u)
 
         reports[R] = VirialReport(
             zR=zR,

@@ -204,6 +204,16 @@ class TestSimulate:
             header = fh.readline().strip()
         assert header.startswith("t,dt,mass,energy,grad_norm")
         assert man["cutoff_k"] == 5  # default rule for N=1, b=0.5
+        # the certificate's third leg and the drifts agree with the CSV rows
+        rows = np.loadtxt(os.path.join(out, "series_R2.csv"), delimiter=",", skiprows=1)
+        mass, energy, fd = rows[:, 2], rows[:, 3], rows[:, 9]
+        assert man["max_mass_drift"] == np.max(np.abs(mass / mass[0] - 1.0))
+        assert man["max_energy_drift"] == np.max(np.abs(energy - energy[0])) / abs(energy[0])
+        assert man["max_mass_drift"] < 1e-12
+        assert set(man["tracked_concavity"]) == {"2", "4"}
+        fd = fd[np.isfinite(fd)]
+        assert fd.size > 0
+        assert man["tracked_concavity"]["2"] == np.mean(fd < 0.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
@@ -350,6 +360,20 @@ class TestSweepPlotAudit:
         assert main(["virial-audit", out]) == 1
         assert "bytes, expected" in capsys.readouterr().err
 
+    def test_checkpoint_without_sidecar_is_a_clean_error(self, tmp_path, capsys):
+        out = self.simulate_with_checkpoints(tmp_path)
+        os.remove(os.path.join(out, "checkpoints", "ckpt_final.bin.json"))
+        assert main(["virial-audit", out]) == 1
+        assert "ckpt_final.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+    def test_corrupt_checkpoint_sidecar_is_a_clean_error(self, tmp_path, capsys, sidecar):
+        out = self.simulate_with_checkpoints(tmp_path)
+        with open(os.path.join(out, "checkpoints", "ckpt_final.bin.json"), "w") as fh:
+            fh.write(sidecar)
+        assert main(["virial-audit", out]) == 1
+        assert "ckpt_final.bin.json" in capsys.readouterr().err
+
     def test_plot_emits_svg(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL)
@@ -366,6 +390,21 @@ class TestSweepPlotAudit:
         os.makedirs(empty)
         assert main(["plot", empty]) == 1
         assert os.listdir(empty) == []
+
+    def test_plot_of_header_only_csvs_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = str(tmp_path / "p")
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", out]) == 0
+        for R in (2, 4):
+            path = os.path.join(out, f"series_R{R}.csv")
+            with open(path) as fh:
+                header = fh.readline()
+            with open(path, "w") as fh:
+                fh.write(header)
+        assert main(["plot", out]) == 1
+        assert "no rows to plot" in capsys.readouterr().err
+        assert not any(n.endswith(".svg") for n in os.listdir(out))
 
     def test_virial_audit_round_trip(self, tmp_path):
         text = MINIMAL.replace(

@@ -252,3 +252,17 @@ class TestBilaplacian:
     def test_sup_scales_as_inverse_R_squared(self):
         sups = [R**2 * bilaplacian_sup(build_cutoff(5, R, P1), 10**4) for R in (1.0, 10.0, 100.0)]
         assert (max(sups) - min(sups)) / max(sups) < 1e-6
+
+
+@pytest.mark.parametrize("N,b", [(1, 0.5), (2, 1.0), (3, 0.5)])
+@pytest.mark.parametrize("R", [0.5, 2.0, 4.0])
+def test_virial_profile_equals_the_separate_evaluators(N, b, R):
+    p = ProblemParams(N, b)
+    prof = build_cutoff(default_k(p), R, p)
+    # the origin, every piece, both joints and the outer region
+    r = np.concatenate([[0.0, R, prof.r_star * R, 2.0 * R], np.linspace(0.0, 5.0 * R, 1001)])
+    phi_R, dphi_over_r, d2phi, bilap = prof.virial_profile(r)
+    assert np.array_equal(phi_R, prof.phi_R(r))
+    assert np.array_equal(dphi_over_r, prof.dphi_R_over_r(r))
+    assert np.array_equal(d2phi, prof.d2phi_R(r))
+    assert np.array_equal(bilap, prof.bilaplacian_phi_R(r))

@@ -294,8 +294,102 @@ def test_grid_weights_radius_power(grid):
 def test_profile_on_grid_arrays_match_profile(grid, gw):
     prof = build_cutoff(5, 2.0, PARAMS)
     pg = ProfileOnGrid(prof, gw)
-    r = gw.r
-    assert np.allclose(pg.phi_R, prof.phi_R(r))
-    assert np.allclose(pg.dphi_over_r, prof.dphi_R_over_r(r))
-    assert np.allclose(pg.d2phi, prof.d2phi_R(r))
-    assert np.allclose(pg.bilap, prof.bilaplacian_phi_R(r))
+    r = gw.r.ravel()
+    d2phi = prof.d2phi_R(r)
+    N, b = PARAMS.ndim, PARAMS.b
+    for weight in (pg.phi_R, pg.dphi_over_r, pg.bilap, pg.aniso, pg.w_t4, pg.w_K1, pg.w_K2):
+        assert weight.shape == (grid.size,)
+    assert np.array_equal(pg.phi_R, prof.phi_R(r))
+    assert np.array_equal(pg.dphi_over_r, prof.dphi_R_over_r(r))
+    assert np.array_equal(pg.bilap, prof.bilaplacian_phi_R(r))
+    assert np.array_equal(pg.aniso, (d2phi - pg.dphi_over_r) / r**2)
+    assert np.array_equal(pg.w_t4, -d2phi - (N - 1.0 + b * N / (2.0 - b)) * pg.dphi_over_r)
+
+
+@pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64), (3, 0.5, 16)])
+@pytest.mark.parametrize("R", [0.5, 2.0, 4.0])
+def test_weights_match_the_closed_form_phi1_and_phi2(ndim, b, M, R):
+    # w_K1 and w_K2 difference the profile; phi1 and phi2 are closed forms
+    # per region, so the two sides share no arithmetic
+    params = ProblemParams(ndim, b)
+    grid = Grid(ndim, 8.0, M)
+    gw = GridWeights(grid, params)
+    prof = build_cutoff(default_k(params), R, params)
+    pg = ProfileOnGrid(prof, gw)
+    r = gw.r.ravel()
+    assert np.max(np.abs(pg.w_K1 - prof.phi1(r) / 4.0)) <= 1e-13
+    assert np.max(np.abs(pg.w_K2 - prof.phi2(r) * (ndim + 2.0 - b) / 2.0)) <= 1e-13
+
+
+def reference_virials(plan, f, gw, profiles):
+    """R -> VirialReport by the per-radius formulas, each sum a separate
+    np.sum over shaped arrays from the profile's own evaluators."""
+    params = f.params
+    quad = gw.quad
+    N, b = params.ndim, params.b
+    cN = N + 2.0 - b
+    coef = (4.0 - 2.0 * b) / cN
+    grads, xdot = plan.radial_derivative_arrays(f.values)
+    grad2 = sum(np.abs(g) ** 2 for g in grads)
+    xdot2 = np.abs(xdot) ** 2
+    absu2 = np.abs(f.values) ** 2
+    wup = gw.w_b * absu2 ** (params.p / 2.0)
+    conj_u = np.conj(f.values)
+    G = quad * float(np.sum(grad2))
+    P = quad * float(np.sum(wup))
+    energy = 0.5 * G - params.energy_coefficient * P
+
+    out = {}
+    for prof in profiles:
+        r = gw.r
+        phi_R = prof.phi_R(r)
+        dphi_over_r = prof.dphi_R_over_r(r)
+        d2phi = prof.d2phi_R(r)
+        bilap = prof.bilaplacian_phi_R(r)
+        aniso = (d2phi - dphi_over_r) / r**2
+        t1 = 4.0 * quad * float(np.sum(dphi_over_r * grad2))
+        t2 = 4.0 * quad * float(np.sum(aniso * xdot2))
+        t3 = -quad * float(np.sum(bilap * absu2))
+        t4 = coef * quad * float(
+            np.sum((-d2phi - (N - 1.0 + b * N / (2.0 - b)) * dphi_over_r) * wup)
+        )
+        z_second = t1 + t2 + t3 + t4
+        K1 = -4.0 * quad * float(np.sum((2.0 - dphi_over_r) * grad2)) + 4.0 * quad * float(
+            np.sum(aniso * xdot2)
+        )
+        K2 = (2.0 / cN) * quad * float(
+            np.sum(((2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * (2.0 - dphi_over_r)) * wup)
+        )
+        out[prof.R] = observables.VirialReport(
+            zR=quad * float(np.sum(phi_R * absu2)),
+            zR_prime=2.0 * quad * float(np.sum((dphi_over_r * xdot * conj_u).imag)),
+            zR_second_formula=z_second,
+            K1=K1,
+            K2=K2,
+            K3=t3,
+            alpha_check=(z_second - K1 - K2 - t3) / energy,
+        )
+    return out
+
+
+@pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64)])
+def test_weighted_sums_match_the_per_radius_formulas(ndim, b, M):
+    params = ProblemParams(ndim, b)
+    grid = Grid(ndim, 8.0, M)
+    plan = SpectralPlan(grid)
+    gw = GridWeights(grid, params)
+    profiles = [build_cutoff(default_k(params), R, params) for R in (0.5, 2.0, 4.0)]
+    pgs = {p.R: ProfileOnGrid(p, gw) for p in profiles}
+    r2 = sum((x - 0.4) ** 2 for x in grid.coords())
+    f = Field(params, grid, 0.9 * np.exp(-r2 / 2.0) * np.exp(0.3j * grid.coords()[0]))
+    got = virial_z_second(plan, f, gw, pgs)
+    ref = reference_virials(plan, f, gw, profiles)
+    for R in pgs:
+        # the same products summed in the same order, so the same bits: a
+        # second difference in time of z_R multiplies any change in its
+        # rounding by 4/h^2. Only z_R' forms its integrand differently.
+        for name, val in vars(ref[R]).items():
+            if name == "zR_prime":
+                assert abs(got[R].zR_prime - val) <= 1e-10 * max(1.0, abs(val)), R
+            else:
+                assert getattr(got[R], name) == val, (R, name)
