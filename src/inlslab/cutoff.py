@@ -300,9 +300,15 @@ def build_cutoff(k: int, R: float, params: ProblemParams, validate_k: bool = Tru
 
 def _rho_samples(profile: CutoffProfile, n: int) -> np.ndarray:
     """Dense rho samples over (0, 4], geometrically refined toward rho=1+
-    where the weights degenerate."""
+    where the weights degenerate. Raises InvariantError when n leaves a
+    piece (inner, near 1, bridge, outer) empty: a check of the tail alone
+    would pass trivially."""
     n_in = n // 5
     n_mid = 2 * n // 5
+    if n_in < 2 or n_mid < 2:
+        raise InvariantError(
+            f"{n} samples leave a piece of rho in (0, 4] unsampled; need at least 10"
+        )
     n_out = n - n_in - 2 * n_mid
     inner = np.linspace(0.0, 1.0, n_in, endpoint=False)[1:]
     near = 1.0 + np.geomspace(1e-9, profile.r_star - 1.0, n_mid)

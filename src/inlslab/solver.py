@@ -126,8 +126,17 @@ def _abs_pow(absu: np.ndarray, sigma: float) -> np.ndarray:
         out = absu
         for _ in range(n - 1):
             out = out * absu
-        return out.copy() if n == 1 else out
+        return out
     return absu**sigma
+
+
+def _unit_phasor(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) as one fresh complex array, cos and sin written into
+    its real and imaginary parts."""
+    e = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    return e
 
 
 def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
@@ -135,12 +144,15 @@ def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     potential (|x|^-b, or zero to turn the nonlinearity off).
 
     Returns the rotated field and the largest rate V |u|^sigma, which
-    drives the step control.
+    drives the step control. For a finite, positive V (|x|^-b on cell
+    centres) the rate is NaN or infinite whenever u is not finite, since
+    np.max propagates NaN; run relies on this as its finiteness check.
     """
     rate = potential * _abs_pow(np.abs(u), sigma)
-    theta = dt * rate
-    # u * exp(i theta) without forming a complex exponent
-    return u * (np.cos(theta) + 1j * np.sin(theta)), float(np.max(rate))
+    # The phasor is a temporary on purpose: numpy then evaluates the product
+    # with the operands in the order it used for u * (cos + 1j sin), which
+    # depends on the array size, so the rounding stays that of this formula.
+    return u * _unit_phasor(dt * rate), float(np.max(rate))
 
 
 def strang_step(
@@ -255,7 +267,7 @@ def run(
         unew, rate = _phase_step(unew, dt, gw.w_b, sigma)
         pending = 0.5 * dt
 
-        if not np.all(np.isfinite(unew.view(float))):
+        if not np.isfinite(rate):
             report.outcome = OUTCOME_INSTABILITY
             report.t_end = t
             report.steps = step

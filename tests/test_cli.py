@@ -436,6 +436,14 @@ class TestToolSubcommands:
         assert report["phicond_passed"] and report["phivare_passed"]
         assert report["epsilon"] > 0
 
+    @pytest.mark.parametrize("samples", ["0", "9"])
+    def test_cutoff_verify_fails_when_a_piece_is_unsampled(self, samples, capsys):
+        # too few samples leave only the tail rho in [2, 4], where the
+        # conditions hold trivially; that must not be a passing verdict
+        code = main(["cutoff-verify", "--N", "1", "--b", "0.5", "--samples", samples])
+        assert code == 1
+        assert "unsampled" in capsys.readouterr().err
+
     def test_cutoff_verify_rejects_bad_k(self, capsys):
         code = main(["cutoff-verify", "--N", "1", "--b", "0.5", "--k", "4"])
         assert code == 1

@@ -21,6 +21,7 @@ from inlslab.solver import (
     OUTCOME_REACHED_T_MAX,
     RunReport,
     SolverConfig,
+    _abs_pow,
     _phase_step,
     run,
     strang_step,
@@ -86,6 +87,18 @@ class TestNonlinearPhase:
         phase = np.angle(out[idx] / u[idx])
         assert phase == pytest.approx(0.1 * (1.0 / r) * 9.0, rel=1e-12)
         assert rate == np.max(w_b) * 9.0
+
+    @pytest.mark.parametrize("M", [2048, 65536])
+    def test_bits_of_the_cos_plus_i_sin_product(self, M):
+        # numpy elides the phasor temporary only from 256 KiB up, which
+        # swaps the product's operands; the two sizes cover both orders
+        rng = np.random.default_rng(M)
+        u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        w_b = GridWeights(Grid(1, 20.0, M), PARAMS).w_b
+        theta = 0.01 * (w_b * _abs_pow(np.abs(u), PARAMS.sigma))
+        ref = u * (np.cos(theta) + 1j * np.sin(theta))
+        out, _ = _phase_step(u, 0.01, w_b, PARAMS.sigma)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     @PROPERTY
     @given(
@@ -246,6 +259,30 @@ class TestRun:
             PROFILES,
         )
         assert rep.outcome == OUTCOME_INSTABILITY
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_mid_run_marks_instability(self, bad, monkeypatch):
+        # each step propagates once (no samples here); corrupt one point of
+        # the field the fourth step hands to the phase stage
+        propagate = SpectralPlan.free_propagate_array
+        calls = []
+
+        def corrupting(plan, values, dt):
+            out = propagate(plan, values, dt)
+            calls.append(dt)
+            if len(calls) == 4:
+                out = out.copy()
+                out[GRID.points_per_axis // 3] = bad
+            return out
+
+        monkeypatch.setattr(SpectralPlan, "free_propagate_array", corrupting)
+        init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
+        rep = run(init, PARAMS, GRID, self.cfg(sample_stride=1000), PROFILES)
+        assert rep.outcome == OUTCOME_INSTABILITY
+        assert rep.steps == 3
+        assert rep.t_end == pytest.approx(3 * 1e-3, rel=1e-12)
+        assert len(calls) == 4
 
     def test_checkpoints_written(self, tmp_path):
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)

@@ -1,10 +1,16 @@
 """Spectral derivatives and the exact free propagator, checked against
 closed-form solutions and finite differences."""
 
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import inlslab
 from inlslab.core import Field, Grid, InvariantError, ProblemParams
 from inlslab.spectral import SpectralPlan
 
@@ -179,3 +185,33 @@ class TestFieldLevelWrappers:
         f = Field(PARAMS, grid, periodic_gaussian(grid))
         with pytest.raises(InvariantError):
             plan.free_propagate(f, np.inf)
+
+
+FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from inlslab.core import Grid
+from inlslab.spectral import SpectralPlan
+
+plan = SpectralPlan(Grid(1, 20.0, 65536))
+u = np.exp(-np.linspace(-5.0, 5.0, 65536) ** 2).astype(complex)
+for _ in range(5):
+    plan.free_propagate_array(u, 1e-4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    plan.free_propagate_array(u, 1e-4)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_propagator_does_not_refault_its_scratch():
+    # without the plan's heap hold, glibc returns pocketfft's 1 MiB scratch
+    # blocks to the kernel after every transform: about 700 faults a call
+    src = os.path.dirname(os.path.dirname(inlslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_CALL], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert float(out) < 8
