@@ -12,7 +12,6 @@ sweep value), 2 a failed check (virial-audit, cutoff-verify).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import glob
 import json
@@ -177,13 +176,7 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     k = default_k(cfg.params) if cfg.cutoff_k is None else cfg.cutoff_k
     profiles = [build_cutoff(k, R, cfg.params) for R in cfg.cutoff_R]
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints") if cfg.emit_checkpoints else None
-    solver_cfg = cfg.solver
-    if cfg.emit_checkpoints and solver_cfg.checkpoint_stride == 0:
-        solver_cfg = replace(solver_cfg, checkpoint_stride=1)
-    report = run(
-        cfg.init, cfg.params, cfg.grid, solver_cfg, profiles,
-        checkpoint_dir=ckpt_dir, run_id=run_id,
-    )
+    report = run(cfg.init, cfg.params, cfg.grid, cfg.solver, profiles, checkpoint_dir=ckpt_dir)
 
     files = []
     if cfg.emit_csv:
@@ -195,7 +188,7 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
 
     # the effective config, less out_dir: reruns into other directories
     # must write the same bytes
-    config = asdict(replace(cfg, solver=solver_cfg, cutoff_k=k))
+    config = asdict(replace(cfg, cutoff_k=k))
     del config["out_dir"]
     mass_drift, energy_drift = _drifts(
         np.array([s.conservation.mass for s in report.series]),
@@ -234,46 +227,32 @@ SWEEP_AXES = {
 }
 
 
-def _run_one_sweep_value(args):
-    """(value, manifest, None), or (value, None, message) when the value
-    gives an invalid experiment."""
-    cfg, axis, value, sub = args
-    try:
-        cfg = replace(SWEEP_AXES[axis](cfg, value), out_dir=sub)
-        simulate(cfg, run_id=f"sweep_{axis}_{value:g}")
-    except InvariantError as exc:
-        return value, None, f"{axis}={value:g}: {exc}"
-    with open(os.path.join(sub, "manifest.json")) as fh:
-        return value, json.load(fh), None
-
-
-def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> int:
-    """One run per value; a value that fails becomes an error row, and the
-    sweep returns 1 if any did."""
+def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
+    """One run per value, in order; a value that gives an invalid
+    experiment becomes an error row, and the sweep returns 1 if any did."""
     if axis not in SWEEP_AXES:
         raise InvariantError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}, not {axis!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    jobs = [
-        (cfg, axis, v, os.path.join(cfg.out_dir, f"{axis}_{v:g}")) for v in values
-    ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_one_sweep_value, jobs))
-    else:
-        results = [_run_one_sweep_value(j) for j in jobs]
-
+    failed = False
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
         fh.write(f"{axis},outcome,t_end,E0,alpha_mean\n")
-        for value, man, error in results:
-            if error is not None:
-                print(f"error: {error}", file=sys.stderr)
+        for value in values:
+            sub = os.path.join(cfg.out_dir, f"{axis}_{value:g}")
+            try:
+                run_cfg = replace(SWEEP_AXES[axis](cfg, value), out_dir=sub)
+                simulate(run_cfg, run_id=f"sweep_{axis}_{value:g}")
+            except InvariantError as exc:
+                print(f"error: {axis}={value:g}: {exc}", file=sys.stderr)
                 fh.write(f"{_fmt(float(value))},error,nan,nan,nan\n")
+                failed = True
                 continue
+            with open(os.path.join(sub, "manifest.json")) as mf:
+                man = json.load(mf)
             fh.write(
                 f"{_fmt(float(value))},{man['outcome']},{_fmt(man['t_end'])},"
                 f"{_fmt(man['E0'])},{_fmt(man['alpha_summary']['mean'])}\n"
             )
-    return 1 if any(error is not None for _, _, error in results) else 0
+    return 1 if failed else 0
 
 
 def _read_csv(path):
@@ -363,14 +342,11 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
     max_err = 0.0
     plan = None
     for path in ckpts:
-        f, meta = read_checkpoint(path)
-        if "t" not in meta:
-            raise InvariantError(f"checkpoint {path} has no sidecar time; is {path}.json missing?")
+        f, t = read_checkpoint(path)
         if plan is None:
             plan = SpectralPlan(f.grid)
             gw = obs.GridWeights(f.grid, f.params)
             pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in R_values}
-        t = meta["t"]
         s = obs.sample(plan, f, gw, pgs, t, float("nan"))
         for R in R_values:
             col, rows = csv_data[R]
@@ -409,7 +385,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out-dir", default=None)
 
     p_plot = sub.add_parser("plot", help="emit SVG plots for a finished run")
@@ -446,7 +421,7 @@ def main(argv=None) -> int:
             if args.command == "simulate":
                 return simulate(cfg)
             values = [float(s) for s in args.values.split(",")]
-            return sweep(cfg, args.axis, values, workers=args.workers)
+            return sweep(cfg, args.axis, values)
 
         if args.command == "plot":
             return plot(args.run_dir)

@@ -7,16 +7,14 @@ pointwise).
 
 from __future__ import annotations
 
-import json
 import os
 import struct
-import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-CHECKPOINT_MAGIC = b"INLSLAB\x00CKPT\x00\x00\x01\x00"  # 16 bytes, version 1
+CHECKPOINT_MAGIC = b"INLSLAB\x00CKPT\x00\x00\x02\x00"  # 16 bytes, version 2
 
 BOUNDARY_DECAY_TOL = 1e-12
 
@@ -170,7 +168,7 @@ def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
     """Sample the initial data on the grid; warns if it fails to decay at
     the box boundary (box-adequacy check)."""
     if init.kind == "from_checkpoint":
-        f, _meta = read_checkpoint(init.checkpoint_path)
+        f, _t = read_checkpoint(init.checkpoint_path)
         if f.params != params or f.grid != grid:
             raise InvariantError("checkpoint metadata does not match requested params/grid")
         return f
@@ -198,9 +196,10 @@ def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: 16-byte magic/version header, then N and M per axis and
-# L and b as little-endian 64-bit values, then M^N interleaved (re, im)
-# float64 pairs, row-major; plus a sidecar JSON manifest.
+# checkpoint format, one self-describing file: 16-byte magic/version, then N
+# and M per axis as little-endian int64, then L, b and the time t as
+# little-endian float64, then M^N interleaved (re, im) float64 pairs,
+# row-major.
 # ---------------------------------------------------------------------------
 
 
@@ -214,33 +213,21 @@ def _write_replacing(path: str, *chunks: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_checkpoint(path, f: Field, t: float = 0.0, run_id: str = "") -> None:
-    path = str(path)
+def write_checkpoint(path, f: Field, t: float = 0.0) -> None:
     grid, params = f.grid, f.params
-    manifest = {
-        "ndim": grid.ndim,
-        "points_per_axis": grid.points_per_axis,
-        "half_width": grid.half_width,
-        "b": params.b,
-        "t": t,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "run_id": run_id,
-    }
-    # the sidecar goes first: a checkpoint that exists has its sidecar
-    _write_replacing(path + ".json", json.dumps(manifest, indent=2).encode())
     header = struct.pack(
-        f"<{1 + grid.ndim}q2d", grid.ndim, *grid.shape, grid.half_width, params.b
+        f"<{1 + grid.ndim}q3d", grid.ndim, *grid.shape, grid.half_width, params.b, t
     )
     # a complex128 is its (re, im) float64 pair
-    _write_replacing(path, CHECKPOINT_MAGIC, header, f.values.astype("<c16").tobytes())
+    _write_replacing(str(path), CHECKPOINT_MAGIC, header, f.values.astype("<c16").tobytes())
 
 
 def read_checkpoint(path):
-    """Returns (Field, manifest dict); manifest is {} if the sidecar is absent.
+    """Returns (Field, t).
 
     Raises InvariantError unless the file is exactly one checkpoint: a bad
-    magic, a short header and a size other than the header's grid implies
-    are all rejected, as is a sidecar that is not a JSON object.
+    magic (an older version included), a short header and a size other than
+    the header's grid implies are all rejected.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -248,25 +235,14 @@ def read_checkpoint(path):
     if data[:16] != CHECKPOINT_MAGIC:
         raise InvariantError(f"bad checkpoint magic in {path}")
     ndim = struct.unpack_from("<q", data, 16)[0] if len(data) >= 24 else None
-    if ndim not in (1, 2, 3) or len(data) < 40 + 8 * ndim:
+    if ndim not in (1, 2, 3) or len(data) < 48 + 8 * ndim:
         raise InvariantError(f"bad or truncated checkpoint header in {path}")
-    *ms, half_width, b = struct.unpack_from(f"<{ndim}q2d", data, 24)
+    *ms, half_width, b, t = struct.unpack_from(f"<{ndim}q3d", data, 24)
     if len(set(ms)) != 1 or ms[0] <= 0:
         raise InvariantError("per-axis point counts must be positive and agree")
-    expected = 40 + 8 * ndim + 16 * ms[0] ** ndim
+    expected = 48 + 8 * ndim + 16 * ms[0] ** ndim
     if len(data) != expected:
         raise InvariantError(f"checkpoint {path} is {len(data)} bytes, expected {expected}")
-    values = np.frombuffer(data, dtype="<c16", offset=40 + 8 * ndim).astype(complex)
-    params = ProblemParams(ndim, b)
+    values = np.frombuffer(data, dtype="<c16", offset=48 + 8 * ndim).astype(complex)
     grid = Grid(ndim, half_width, ms[0])
-    meta = {}
-    try:
-        with open(path + ".json") as fh:
-            meta = json.load(fh)
-    except OSError:
-        pass
-    except ValueError as exc:
-        raise InvariantError(f"checkpoint sidecar {path}.json is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise InvariantError(f"checkpoint sidecar {path}.json is not a JSON object")
-    return Field(params, grid, values.reshape(grid.shape)), meta
+    return Field(ProblemParams(ndim, b), grid, values.reshape(grid.shape)), t

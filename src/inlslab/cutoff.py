@@ -169,11 +169,6 @@ class CutoffProfile:
         out[m] = phi_star + anti(2.0)
         return out
 
-    @property
-    def sup_phi(self) -> float:
-        # v >= 0 up to 2, zero after: phi is nondecreasing, flat beyond 2
-        return float(self.phi(np.array([2.0]))[0])
-
     # --- r-space profile ---------------------------------------------------
 
     def phi_R(self, r):
@@ -267,14 +262,6 @@ class CutoffProfile:
             )
         out[rho >= 2.0] = 8.0 * N / cN
         return out
-
-    @property
-    def phi1_outer(self) -> float:
-        return 8.0
-
-    @property
-    def phi2_outer(self) -> float:
-        return 8.0 * self.params.ndim / (self.params.ndim + 2.0 - self.params.b)
 
     @property
     def weight_exponent(self) -> float:

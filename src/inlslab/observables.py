@@ -89,8 +89,7 @@ class ProfileOnGrid:
         self.w_K2 = (2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * self.w_K1  # Phi_2 cN / 2
 
 
-def conservation(plan: SpectralPlan, f: Field, gw: GridWeights | None = None) -> ConservationReport:
-    gw = gw or GridWeights(f.grid, f.params)
+def conservation(plan: SpectralPlan, f: Field, gw: GridWeights) -> ConservationReport:
     absu2 = np.abs(f.values) ** 2
     mass = gw.quad * float(np.sum(absu2))
     kinetic = plan.grad_norm(f.values) ** 2

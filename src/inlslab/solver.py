@@ -39,7 +39,7 @@ class SolverConfig:
     gradnorm_ceiling: float = 1e6
     supnorm_ceiling: float = 1e6
     sample_stride: int = 10
-    checkpoint_stride: int = 0  # 0 disables checkpoints
+    checkpoint_stride: int = 1  # samples per checkpoint, when run writes them
 
     def __post_init__(self):
         if not (0.0 < self.safety <= 1.0):
@@ -50,6 +50,8 @@ class SolverConfig:
             raise InvariantError("t_max and ceilings must be positive")
         if self.sample_stride < 1:
             raise InvariantError("sample_stride must be >= 1")
+        if self.checkpoint_stride < 1:
+            raise InvariantError("checkpoint_stride must be >= 1")
 
 
 @dataclass
@@ -176,7 +178,6 @@ def run(
     cfg: SolverConfig,
     profiles: list,
     checkpoint_dir: str | None = None,
-    run_id: str = "",
 ) -> RunReport:
     f = realize(init, params, grid)
     plan = SpectralPlan(grid)
@@ -202,7 +203,7 @@ def run(
             return
         os.makedirs(checkpoint_dir, exist_ok=True)
         path = os.path.join(checkpoint_dir, f"ckpt_{tag}.bin")
-        write_checkpoint(path, Field(params, grid, u), t=t, run_id=run_id)
+        write_checkpoint(path, Field(params, grid, u), t=t)
         report.checkpoints.append(path)
 
     def observe(t, dt):
@@ -219,7 +220,7 @@ def run(
         if drift > MASS_DRIFT_LIMIT:
             report.outcome = OUTCOME_INSTABILITY
             return True
-        if cfg.checkpoint_stride and step % (cfg.sample_stride * cfg.checkpoint_stride) == 0:
+        if step % (cfg.sample_stride * cfg.checkpoint_stride) == 0:
             checkpoint(t, f"{step:09d}")
         if s.grad_norm > cfg.gradnorm_ceiling or s.sup_norm > cfg.supnorm_ceiling:
             report.gradnorm_ceiling_hit = s.grad_norm > cfg.gradnorm_ceiling
@@ -231,8 +232,7 @@ def run(
         last_sample_t = t
         return False
 
-    if cfg.checkpoint_stride:
-        checkpoint(0.0, "000000000")
+    checkpoint(0.0, "000000000")
 
     # Adjacent linear half-steps are merged between samples:
     # free(a) o free(b) = free(a+b), so a "pending" linear tail is carried

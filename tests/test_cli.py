@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from inlslab.cli import (
     parse_config,
     virial_audit,
 )
-from inlslab.core import Field, Grid, InitialData, ProblemParams, write_checkpoint
+from inlslab.core import Field, Grid, InitialData, ProblemParams, read_checkpoint, write_checkpoint
 from inlslab.solver import SolverConfig
 
 # few, reproducible examples: these run in the default suite
@@ -77,7 +78,7 @@ KEY_VALUES = {
         "gradnorm_ceiling": _floats(1.0, 1e9),
         "supnorm_ceiling": _floats(1.0, 1e9),
         "sample_stride": st.integers(1, 50).map(str),
-        "checkpoint_stride": st.integers(0, 5).map(str),
+        "checkpoint_stride": st.integers(1, 5).map(str),
     },
     # past every lower bound on k for N <= 3
     "cutoff": {"k": st.integers(100, 200).map(str), "R": _float_lists(0.5, 10.0, sort=True)},
@@ -185,6 +186,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sorted"):
             parse_config(MINIMAL.replace("R = 2,4", "R = 4,2"))
 
+    def test_checkpoint_stride_zero_is_an_error(self):
+        text = MINIMAL.replace("sample_stride = 5\n", "sample_stride = 5\ncheckpoint_stride = 0\n")
+        with pytest.raises(ConfigError, match="checkpoint_stride must be >= 1"):
+            parse_config(text)
+
 
 class TestSimulate:
     def write_cfg(self, tmp_path, text=MINIMAL, extra=""):
@@ -216,18 +222,18 @@ class TestSimulate:
         assert man["tracked_concavity"]["2"] == np.mean(fd < 0.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg_path = self.write_cfg(tmp_path)
-        outs, manifests = [], []
+        # the whole run directory, checkpoints included
+        cfg_path = self.write_cfg(tmp_path, extra="\n[emit]\ncheckpoints = true\n")
+        trees = []
         for name in ("a", "b"):
-            out = str(tmp_path / name)
-            assert main(["simulate", "--config", cfg_path, "--out-dir", out]) == 0
-            with open(os.path.join(out, "series_R2.csv"), "rb") as fh:
-                outs.append(fh.read())
-            with open(os.path.join(out, "manifest.json"), "rb") as fh:
-                manifests.append(fh.read())
-        assert outs[0] == outs[1]
-        assert manifests[0] == manifests[1]
-        man = json.loads(manifests[0])
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg_path, "--out-dir", str(out)]) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert trees[0] == trees[1]
+        ckpts = [name for name in trees[0] if name.startswith("checkpoints")]
+        assert len(ckpts) >= 2
+        assert all(os.path.basename(n).startswith("ckpt_") and n.endswith(".bin") for n in ckpts)
+        man = json.loads(trees[0]["manifest.json"])
         for key in ("amplitude2", "width2", "center2", "checkpoint_path"):
             assert key in man["init"]
         for key in ("supnorm_ceiling", "checkpoint_stride"):
@@ -346,7 +352,7 @@ class TestSweepPlotAudit:
             .replace("sample_stride = 5", "sample_stride = 3")
         )
         out = self.simulate_with_checkpoints(tmp_path, text)
-        assert len(os.listdir(os.path.join(out, "checkpoints"))) == 2 * 5
+        assert len(os.listdir(os.path.join(out, "checkpoints"))) == 5
         report = virial_audit(out)
         assert (report["checked"], report["unmatched"], report["passed"]) == (2 * 5, 0, True)
 
@@ -360,19 +366,16 @@ class TestSweepPlotAudit:
         assert main(["virial-audit", out]) == 1
         assert "bytes, expected" in capsys.readouterr().err
 
-    def test_checkpoint_without_sidecar_is_a_clean_error(self, tmp_path, capsys):
+    def test_version_1_checkpoint_is_a_clean_error(self, tmp_path, capsys):
         out = self.simulate_with_checkpoints(tmp_path)
-        os.remove(os.path.join(out, "checkpoints", "ckpt_final.bin.json"))
+        path = os.path.join(out, "checkpoints", "ckpt_final.bin")
+        f, _t = read_checkpoint(path)
+        # the version-1 layout: no time in the header
+        header = struct.pack("<2q2d", 1, f.grid.points_per_axis, f.grid.half_width, f.params.b)
+        with open(path, "wb") as fh:
+            fh.write(b"INLSLAB\x00CKPT\x00\x00\x01\x00" + header + f.values.astype("<c16").tobytes())
         assert main(["virial-audit", out]) == 1
-        assert "ckpt_final.bin" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
-    def test_corrupt_checkpoint_sidecar_is_a_clean_error(self, tmp_path, capsys, sidecar):
-        out = self.simulate_with_checkpoints(tmp_path)
-        with open(os.path.join(out, "checkpoints", "ckpt_final.bin.json"), "w") as fh:
-            fh.write(sidecar)
-        assert main(["virial-audit", out]) == 1
-        assert "ckpt_final.bin.json" in capsys.readouterr().err
+        assert "bad checkpoint magic" in capsys.readouterr().err
 
     def test_plot_emits_svg(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """Grid geometry, parameter invariants, initial data and checkpoint I/O."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ from inlslab.spectral import SpectralPlan
 
 # few, reproducible examples: these run in the default suite
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def version_1_bytes(f):
+    """f in the version-1 checkpoint layout, whose header had no time (it was
+    kept in a JSON file beside the checkpoint)."""
+    header = struct.pack("<2q2d", 1, f.grid.points_per_axis, f.grid.half_width, f.params.b)
+    return b"INLSLAB\x00CKPT\x00\x00\x01\x00" + header + f.values.astype("<c16").tobytes()
 
 
 class TestProblemParams:
@@ -92,7 +100,7 @@ class TestInitialData:
         init = InitialData(kind="gaussian", amplitude=0.7, width=0.9)
         f = realize(init, params, grid)
         exact = np.sqrt(quad(lambda x: 0.49 * np.exp(-x**2 / 0.81), -np.inf, np.inf)[0])
-        mass = conservation(SpectralPlan(grid), f).mass
+        mass = conservation(SpectralPlan(grid), f, GridWeights(grid, params)).mass
         assert np.sqrt(mass) == pytest.approx(exact, rel=1e-12)
 
     def test_shifted_gaussian_peaks_at_center(self):
@@ -158,19 +166,27 @@ class TestCheckpoints:
         vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         f = Field(params, grid, vals)
         path = tmp_path / "state.bin"
-        write_checkpoint(path, f, t=0.375, run_id="rt")
-        g, meta = read_checkpoint(path)
+        write_checkpoint(path, f, t=0.375)
+        g, t = read_checkpoint(path)
         assert np.array_equal(g.values, f.values)
         assert g.params == params
         assert g.grid == grid
-        assert meta["t"] == 0.375
-        assert meta["run_id"] == "rt"
+        assert t == 0.375
+        # the checkpoint is one file
+        assert os.listdir(tmp_path) == ["state.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(InvariantError):
             read_checkpoint(str(path))
+
+    def test_version_1_file_rejected(self, tmp_path):
+        f = Field(ProblemParams(1, 0.5), Grid(1, 1.0, 16), np.ones(16, dtype=complex))
+        path = tmp_path / "v1.bin"
+        path.write_bytes(version_1_bytes(f))
+        with pytest.raises(InvariantError, match="magic"):
+            read_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         params = ProblemParams(1, 0.5)
@@ -198,7 +214,7 @@ class TestCheckpoints:
         f = Field(ProblemParams(ndim, b), Grid(ndim, 2.5, M), vals)
         path = tmp_path_factory.mktemp("ckpt") / "state.bin"
         write_checkpoint(path, f)
-        g, _meta = read_checkpoint(path)
+        g, _t = read_checkpoint(path)
         assert g.values.tobytes() == f.values.tobytes()
         assert (g.params, g.grid) == (f.params, f.grid)
 
@@ -214,8 +230,29 @@ class TestCheckpoints:
         with pytest.raises(OSError):
             write_checkpoint(tmp_path / "a.bin", Field(params, grid, 2.0 * old.values))
         monkeypatch.undo()
-        g, _meta = read_checkpoint(tmp_path / "a.bin")
+        g, _t = read_checkpoint(tmp_path / "a.bin")
         assert np.array_equal(g.values, old.values)
+
+    def test_failed_rename_keeps_the_old_field_with_its_time(self, tmp_path, monkeypatch):
+        # field and time are renamed into place together or not at all
+        grid, params = Grid(1, 1.0, 8), ProblemParams(1, 0.5)
+        old = Field(params, grid, np.ones(8, dtype=complex))
+        path = tmp_path / "a.bin"
+        write_checkpoint(path, old, t=0.25)
+        rename = os.replace
+
+        def bin_rename_fails(src, dst):
+            if str(dst).endswith(".bin"):
+                raise OSError("interrupted before the rename")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", bin_rename_fails)
+        with pytest.raises(OSError):
+            write_checkpoint(path, Field(params, grid, 2.0 * old.values), t=0.5)
+        monkeypatch.undo()
+        g, t = read_checkpoint(path)
+        assert np.array_equal(g.values, old.values)
+        assert t == 0.25
 
     @pytest.mark.parametrize(
         "cut",

@@ -155,10 +155,9 @@ class TestWeights:
         r = np.linspace(2.0, 6.0, 50)
         assert np.allclose(prof.phi1(r), 8.0)
         assert np.allclose(prof.phi2(r), 6.0)  # 8*3/(3+2-1)
-        assert prof.phi1_outer == 8.0 and prof.phi2_outer == pytest.approx(6.0)
         prof = build_cutoff(5, 1.0, P1)
-        assert prof.phi1_outer == 8.0
-        assert prof.phi2_outer == pytest.approx(8.0 / (1.0 + 2.0 - 0.5))
+        assert np.allclose(prof.phi1(r), 8.0)
+        assert np.allclose(prof.phi2(r), 8.0 / (1.0 + 2.0 - 0.5))
 
     def test_nonnegative_everywhere(self):
         for N in (1, 2, 3):

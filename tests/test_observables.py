@@ -107,7 +107,8 @@ class TestVirialZ:
         pg = ProfileOnGrid(prof, gw)
         plan = SpectralPlan(grid)
         rng = np.random.default_rng(5)
-        cap = prof.R**2 * prof.sup_phi
+        # v >= 0 up to 2, zero after: phi is nondecreasing, flat beyond 2
+        cap = prof.R**2 * float(prof.phi(2.0))
         for _ in range(20):
             spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             spec[np.abs(np.fft.fftfreq(grid.size) * grid.size) > 64] = 0.0

@@ -55,6 +55,7 @@ class TestSolverConfig:
             {"t_max": -1.0},
             {"gradnorm_ceiling": 0.0},
             {"sample_stride": 0},
+            {"checkpoint_stride": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -293,11 +294,10 @@ class TestRun:
             self.cfg(checkpoint_stride=2),
             PROFILES,
             checkpoint_dir=str(tmp_path),
-            run_id="t",
         )
         assert len(rep.checkpoints) >= 2
-        f, meta = read_checkpoint(rep.checkpoints[0])
-        assert meta["t"] == 0.0
+        f, t = read_checkpoint(rep.checkpoints[0])
+        assert t == 0.0
 
     def test_matches_reference_strang_steps(self, tmp_path):
         # the production loop merges adjacent half-steps; at a fixed dt its
@@ -331,8 +331,8 @@ class TestRun:
         # t = 0 and steps 3, 6, 9 and 10
         assert len(rep.series) == 5
         assert rep.series[-1].t == rep.t_end and rep.series[-1].dt == 0.1
-        _, meta = read_checkpoint(tmp_path / "ckpt_final.bin")
-        assert meta["t"] == rep.t_end
+        _, t = read_checkpoint(tmp_path / "ckpt_final.bin")
+        assert t == rep.t_end
 
     def test_determinism(self):
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
