@@ -33,7 +33,7 @@ from .cutoff import (
     grad_weight_bound,
     verify_phicond,
 )
-from .inequalities import IneqCase, RadialWeight, estimate_constant
+from .inequalities import WHICH, IneqCase, RadialWeight, estimate_constant
 from .solver import OUTCOME_BLOWUP, OUTCOME_INSTABILITY, OUTCOME_REACHED_T_MAX, SolverConfig, run
 from .spectral import SpectralPlan
 from .svgplot import line_plot
@@ -152,6 +152,8 @@ def parse_config(text: str) -> ExperimentConfig:
         errs.append("[cutoff] R values must be positive")
     if list(cfg.cutoff_R) != sorted(cfg.cutoff_R):
         errs.append("[cutoff] R values must be sorted ascending")
+    if cfg.emit_svg and not cfg.emit_csv:
+        errs.append("[emit] svg = true needs csv = true: the plots are drawn from the series CSVs")
 
     if errs:
         raise ConfigError(errs)
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     p_cut.add_argument("--c", type=float, default=1.0)
 
     p_ineq = sub.add_parser("interp-check", help="estimate an inequality constant")
-    p_ineq.add_argument("--which", required=True, choices=["interp1", "interp2", "otn1", "gn"])
+    p_ineq.add_argument("--which", required=True, choices=WHICH)
     p_ineq.add_argument("--N", type=int, required=True)
     p_ineq.add_argument("--b", type=float, required=True)
     p_ineq.add_argument("--trials", type=int, default=100)

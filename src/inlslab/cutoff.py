@@ -13,7 +13,7 @@ makes every certificate R-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import BPoly
@@ -55,6 +55,13 @@ def check_k(k: int, params: ProblemParams) -> None:
             )
 
 
+def weight_exponent(params: ProblemParams) -> float:
+    """Fractional power e applied to the weight in the gradient bound and
+    the interpolation estimates: 1/(2-b), or 1/(2-b/2) in dimension two."""
+    b = params.b
+    return 1.0 / (2.0 - b / 2.0) if params.ndim == 2 else 1.0 / (2.0 - b)
+
+
 def default_k(params: ProblemParams) -> int:
     """Smallest ceiling satisfying every strict bound, plus one for margin."""
     k = max(2, max(math.ceil(bound) for bound in k_lower_bounds(params)) + 1)
@@ -66,8 +73,6 @@ def _build_bridge(k: int):
     derivative at r_star and vanishing with five derivatives at 2. The
     extra smoothness keeps quadratures of the derived weights at spectral
     grid resolution well below the diagnostic tolerances.
-
-    On monotonicity failure an intermediate knot is inserted once.
     """
     a = r_star(k)
     d = a - 1.0
@@ -85,17 +90,10 @@ def _build_bridge(k: int):
     left = [va, 0.0] + [deriv_at_a(n) for n in range(2, 6)]
     right = [0.0] * 6
 
-    def monotone(bp):
-        t = np.linspace(a, 2.0, 10002)[1:-1]
-        return bool(np.all(bp.derivative()(t) < 0.0))
-
     bridge = BPoly.from_derivatives([a, 2.0], [left, right])
-    if not monotone(bridge):
-        mid = 0.5 * (a + 2.0)
-        mid_vals = [0.5 * va, -1.5 * va / (2.0 - a), 0.0]
-        bridge = BPoly.from_derivatives([a, mid, 2.0], [left, mid_vals, right])
-        if not monotone(bridge):
-            raise BridgeError(f"no strictly decreasing bridge found for k={k}")
+    t = np.linspace(a, 2.0, 10002)[1:-1]
+    if not np.all(bridge.derivative()(t) < 0.0):
+        raise BridgeError(f"the bridge for k={k} is not strictly decreasing")
     return a, bridge
 
 
@@ -263,13 +261,6 @@ class CutoffProfile:
         out[rho >= 2.0] = 8.0 * N / cN
         return out
 
-    @property
-    def weight_exponent(self) -> float:
-        """Fractional power applied to Phi_2 in the gradient bound:
-        1/(2-b), or 1/(2-b/2) in dimension two."""
-        b = self.params.b
-        return 1.0 / (2.0 - b / 2.0) if self.params.ndim == 2 else 1.0 / (2.0 - b)
-
 
 def build_cutoff(k: int, R: float, params: ProblemParams, validate_k: bool = True) -> CutoffProfile:
     """Construct and certify the profile. validate_k=False skips the strict
@@ -320,7 +311,7 @@ def verify_phicond(profile: CutoffProfile, samples: int = 10**4) -> dict:
 def grad_weight_bound(profile: CutoffProfile, samples: int = 10**5) -> float:
     """sup over r in (0, 4R] of R * |d/dr Phi_2^e| (e the dimension-dependent
     exponent), by central differences on the smooth pieces."""
-    e = profile.weight_exponent
+    e = weight_exponent(profile.params)
     R = profile.R
     sup = 0.0
     pieces = [(1.0, profile.r_star), (profile.r_star, 2.0), (2.0, 4.0)]
@@ -354,26 +345,29 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
     """
     if c <= 0:
         raise InvariantError("constant c must be positive")
-    q = 2.0 * profile.weight_exponent
+    q = 2.0 * weight_exponent(profile.params)
     R = profile.R
 
     def ratio(rho):
+        """(Phi_2^q / Phi_1, Phi_1, Phi_2^q) at rho; the ratio is 0 where
+        Phi_1 vanishes."""
         p1 = profile.phi1(rho * R)
         p2 = profile.phi2(rho * R)
         bad = (p1 == 0.0) & (p2 > 0.0)
         if np.any(bad):
             raise RuntimeError("Phi_1 vanishes where Phi_2 does not: broken construction")
+        p2q = p2**q
         out = np.zeros_like(p1)
         m = p1 > 0.0
-        out[m] = p2[m] ** q / p1[m]
-        return out
+        out[m] = p2q[m] / p1[m]
+        return out, p1, p2q
 
     # one-sided probe of the removable 0/0 at r -> R+. The ratio behaves
     # as (rho-1)^s near rho=1; a positive power-law slope of the sampled
     # ratio as rho-1 shrinks means the one-sided limit diverges (the
     # divergence can be slow, so a magnitude heuristic is not enough).
     deltas = np.array([1e-6, 1e-7, 1e-8])
-    probe_vals = ratio(1.0 + deltas)
+    probe_vals = ratio(1.0 + deltas)[0]
     if probe_vals[0] > 0.0 and probe_vals[2] > 0.0:
         slope = np.log(probe_vals[2] / probe_vals[0]) / np.log(deltas[0] / deltas[2])
         if slope > 0.01:
@@ -384,22 +378,19 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
 
     rho = _rho_samples(profile, samples)
     rho = rho[rho > 1.0 + 1e-6]
-    vals = ratio(rho)
+    vals, p1, p2q = ratio(rho)
     i = int(np.argmax(vals))
     sup_ratio = float(vals[i])
     eps = 1.0 / (2.0 * c * sup_ratio)
 
     # pointwise recheck of the claimed inequality on the same dense grid
-    lhs = c * eps * profile.phi2(rho * R) ** q - profile.phi1(rho * R)
+    lhs = c * eps * p2q - p1
     verified = bool(np.all(lhs <= PHICOND_SLACK))
 
     # R-independence: the construction depends only on r/R
     eps_other = []
     for r_alt in (1.0, 10.0, 100.0):
-        alt = CutoffProfile(
-            k=profile.k, R=r_alt, params=profile.params,
-            r_star=profile.r_star, bridge=profile.bridge,
-        )
+        alt = replace(profile, R=r_alt)
         vals_alt = alt.phi2(rho * r_alt) ** q
         p1_alt = alt.phi1(rho * r_alt)
         s_alt = float(np.max(vals_alt[p1_alt > 0] / p1_alt[p1_alt > 0]))

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .core import Field, Grid, InvariantError, ProblemParams
-from .cutoff import CutoffProfile
+from .cutoff import CutoffProfile, weight_exponent
 from .spectral import SpectralPlan
 
 WHICH = ("interp1", "interp2", "otn1", "gn")
-WEIGHTS = ("paper_Phi2", "gaussian_bump", "plateau", "constant")
+WEIGHTS = ("paper_Phi2", "gaussian_bump", "constant")
 
 
 class RadialWeight:
@@ -37,8 +37,6 @@ class RadialWeight:
         r = np.asarray(r, dtype=float)
         if self.kind == "gaussian_bump":
             return np.exp(-(r**2) / (2.0 * self.scale**2))
-        if self.kind == "plateau":
-            return 0.5 * (1.0 + np.tanh((self.scale - r) / (0.25 * self.scale)))
         if self.kind == "constant":
             return np.full_like(r, self.scale)
         return self.profile.phi2(r)
@@ -48,10 +46,6 @@ class RadialWeight:
         r = np.asarray(r, dtype=float)
         if self.kind == "gaussian_bump":
             return -(e * r / self.scale**2) * np.exp(-e * r**2 / (2.0 * self.scale**2))
-        if self.kind == "plateau":
-            s = 0.25 * self.scale
-            wp = -0.5 / (s * np.cosh((self.scale - r) / s) ** 2)
-            return e * self.w(r) ** (e - 1.0) * wp
         if self.kind == "constant":
             return np.zeros_like(r)
         # Phi_2 is piecewise closed-form: central differences on a tiny step
@@ -107,34 +101,30 @@ def lhs_rhs(case: IneqCase, f: Field, plan: SpectralPlan | None = None) -> tuple
     w = case.weight.w(r)
     if np.any(w < 0):
         raise InvariantError("weight must be nonnegative")
+    if case.which == "interp1" and N == 2:
+        raise InvariantError("interp1 applies for N != 2")
+    e = weight_exponent(params)
+    # every weighted estimate bounds by sqrt int |d(w^e)|^2 |u|^2 +
+    # sqrt int w^2e |grad u|^2; interp2 adds sqrt int w^2e |u|^2 in front
+    term = np.sqrt(_quad(grid, case.weight.dpow(r, e) ** 2 * absu**2))
+    # formed after dpow's temporaries are freed, so peak memory stays put
+    w2e = w ** (2 * e)
+    if case.which == "interp2":
+        term = np.sqrt(_quad(grid, w2e * absu**2)) + term
+    term = term + np.sqrt(_quad(grid, w2e * grad2))
 
     if case.which == "otn1":
-        e = 1.0 / (2.0 - b)
-        lhs = float(np.max(w ** (1.0 / (4.0 - 2.0 * b)) * absu))
-        dwe = case.weight.dpow(r, e)
-        term = np.sqrt(_quad(grid, dwe**2 * absu**2)) + np.sqrt(_quad(grid, w ** (2 * e) * grad2))
+        lhs = float(np.max(w ** (e / 2.0) * absu))
         rhs = np.sqrt(l2) * np.sqrt(term)
         return lhs, rhs
 
     if case.which == "interp1":
-        if N == 2:
-            raise InvariantError("interp1 applies for N != 2")
-        e = 1.0 / (2.0 - b)
         lhs = _quad(grid, w * absu**params.p)
-        dwe = case.weight.dpow(r, e)
-        term = np.sqrt(_quad(grid, dwe**2 * absu**2)) + np.sqrt(_quad(grid, w ** (2 * e) * grad2))
         rhs = term ** (2.0 - b) * l2 ** ((4.0 + b * (N - 2.0)) / N)
         return lhs, rhs
 
     # interp2, N = 2
-    e = 1.0 / (2.0 - b / 2.0)
     lhs = _quad(grid, w * absu ** (4.0 - b))
-    dwe = case.weight.dpow(r, e)
-    term = (
-        np.sqrt(_quad(grid, w ** (2 * e) * absu**2))
-        + np.sqrt(_quad(grid, dwe**2 * absu**2))
-        + np.sqrt(_quad(grid, w ** (2 * e) * grad2))
-    )
     rhs = term ** (2.0 - b / 2.0) * l2 ** (2.0 - b / 2.0)
     return lhs, rhs
 

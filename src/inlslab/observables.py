@@ -64,7 +64,6 @@ class GridWeights:
     """Per-(grid, params) arrays reused across time samples: |x|, |x|^-b."""
 
     def __init__(self, grid, params):
-        self.grid = grid
         self.params = params
         self.r = grid.radii()
         self.w_b = self.r ** (-params.b)
@@ -77,7 +76,6 @@ class ProfileOnGrid:
     them against one field density."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
-        self.profile = profile
         N, b = gw.params.ndim, gw.params.b
         r = gw.r.ravel()
         self.phi_R, self.dphi_over_r, d2phi, self.bilap = profile.virial_profile(r)
@@ -99,13 +97,14 @@ def conservation(plan: SpectralPlan, f: Field, gw: GridWeights) -> ConservationR
 
 
 def virial_z_second(
-    plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict
+    plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict, energy: float
 ) -> dict:
     """R -> VirialReport for every radius of pgs (R -> ProfileOnGrid), from
     one gradient pass: z_R, z_R' = 2 Im int (partial_r phi_R / r)
     (x . grad u) conj(u), and the second derivative (four-term radial form)
     split into 2-alpha*E + K1 + K2 + K3; alpha_check records the measured
-    multiple of the same-grid energy closing the decomposition."""
+    multiple of energy, the conservation report's energy of f, closing the
+    decomposition."""
     params = f.params
     quad = gw.quad
     N, b = params.ndim, params.b
@@ -120,10 +119,6 @@ def virial_z_second(
     absu2 = np.abs(u) ** 2
     wup = gw.w_b.ravel() * absu2 ** (params.p / 2.0)  # |x|^-b |u|^p
     im_xdot_conj_u = xdot.imag * u.real - xdot.real * u.imag
-
-    G = quad * float(np.sum(grad2))
-    P = quad * float(np.sum(wup))
-    energy = 0.5 * G - params.energy_coefficient * P
 
     product = np.empty_like(absu2)
 
@@ -175,7 +170,7 @@ def sample(plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict, t: float, d
         conservation=cons,
         grad_norm=float(np.sqrt(cons.kinetic)),
         sup_norm=float(np.max(np.abs(f.values))),
-        virials=virial_z_second(plan, f, gw, pgs),
+        virials=virial_z_second(plan, f, gw, pgs, cons.energy),
     )
 
 

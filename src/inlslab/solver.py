@@ -34,7 +34,6 @@ class SolverConfig:
     dt0: float = 1e-4
     dt_floor: float = 1e-9
     t_max: float = 1.0
-    safety: float = 1.0
     c_cfl: float = 0.1  # radians of nonlinear phase per step
     gradnorm_ceiling: float = 1e6
     supnorm_ceiling: float = 1e6
@@ -42,8 +41,6 @@ class SolverConfig:
     checkpoint_stride: int = 1  # samples per checkpoint, when run writes them
 
     def __post_init__(self):
-        if not (0.0 < self.safety <= 1.0):
-            raise InvariantError("safety must lie in (0, 1]")
         if not (0.0 < self.dt_floor < self.dt0):
             raise InvariantError("need 0 < dt_floor < dt0")
         if self.t_max <= 0 or self.gradnorm_ceiling <= 0 or self.supnorm_ceiling <= 0:
@@ -247,7 +244,7 @@ def run(
     # which the c_cfl margin absorbs)
     rate = float(np.max(gw.w_b * _abs_pow(np.abs(u), sigma)))
     while t < cfg.t_max:
-        dt = cfg.safety * min(cfg.dt0, cfg.c_cfl / rate if rate > 0 else cfg.dt0)
+        dt = min(cfg.dt0, cfg.c_cfl / rate if rate > 0 else cfg.dt0)
         if dt < cfg.dt_floor:
             dt = cfg.dt_floor
             if not report.dt_floor_hit:

@@ -32,7 +32,6 @@ class SpectralPlan:
         xi = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
         xi_d = xi.copy()
         xi_d[M // 2] = 0.0  # Nyquist zeroed for first derivatives
-        self.xi = xi
         shape_axes = []
         for axis in range(grid.ndim):
             sh = [1] * grid.ndim

@@ -73,7 +73,6 @@ KEY_VALUES = {
         "dt0": _floats(1e-4, 1e-2),
         "dt_floor": _floats(1e-9, 1e-5),
         "t_max": _floats(0.01, 2.0),
-        "safety": _floats(0.1, 1.0),
         "c_cfl": _floats(0.01, 1.0),
         "gradnorm_ceiling": _floats(1.0, 1e9),
         "supnorm_ceiling": _floats(1.0, 1e9),
@@ -100,6 +99,9 @@ def config_texts(draw):
         for key, values in keys.items():
             if draw(st.booleans()):
                 lines.append(f"{key} = {draw(values)}")
+    # svg plots are drawn from the series CSVs, so svg = true needs them
+    if "svg = True" in lines and any(f"csv = {no}" in lines for no in ("false", "0")):
+        lines.remove("svg = True")
     return "\n".join(lines) + "\n"
 
 
@@ -186,6 +188,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sorted"):
             parse_config(MINIMAL.replace("R = 2,4", "R = 4,2"))
 
+    def test_svg_without_csv_is_an_error(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n[emit]\ncsv = false\nsvg = true\n")
+        assert exc.value.violations == [
+            "[emit] svg = true needs csv = true: the plots are drawn from the series CSVs"
+        ]
+
+    def test_safety_is_an_unknown_key(self):
+        # a step-size factor below 1 let the step fall under dt_floor at the
+        # first step and report a blow-up for positive-energy data
+        text = MINIMAL.replace("dt_floor = 1e-7", "dt_floor = 5e-4\nsafety = 0.25")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.violations == ["unknown key 'safety' in [solver]"]
+
     def test_checkpoint_stride_zero_is_an_error(self):
         text = MINIMAL.replace("sample_stride = 5\n", "sample_stride = 5\ncheckpoint_stride = 0\n")
         with pytest.raises(ConfigError, match="checkpoint_stride must be >= 1"):
@@ -220,6 +237,21 @@ class TestSimulate:
         fd = fd[np.isfinite(fd)]
         assert fd.size > 0
         assert man["tracked_concavity"]["2"] == np.mean(fd < 0.0)
+
+    @pytest.mark.parametrize("ndim,b,M", [(1, "0.5", 256), (2, "1.0", 64)])
+    def test_alpha_check_closes_against_the_row_energy(self, tmp_path, ndim, b, M):
+        text = MINIMAL.replace("N = 1", f"N = {ndim}").replace("b = 0.5", f"b = {b}")
+        out = tmp_path / "out"
+        cfg_path = self.write_cfg(tmp_path, text.replace("M = 256", f"M = {M}"))
+        assert main(["simulate", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        for R in ("2", "4"):
+            lines = (out / f"series_R{R}.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            assert len(lines) > 3
+            for line in lines[1:]:
+                row = dict(zip(header, map(float, line.split(","))))
+                closed = row["zR_second_formula"] - row["K1"] - row["K2"] - row["K3"]
+                assert row["alpha_check"] == closed / row["energy"], (R, row["t"])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         # the whole run directory, checkpoints included

@@ -32,7 +32,7 @@ class TestRadialWeight:
         with pytest.raises(InvariantError):
             RadialWeight("paper_Phi2")
 
-    @pytest.mark.parametrize("kind,scale", [("gaussian_bump", 2.0), ("plateau", 3.0)])
+    @pytest.mark.parametrize("kind,scale", [("gaussian_bump", 2.0)])
     def test_dpow_matches_finite_difference(self, kind, scale):
         w = RadialWeight(kind, scale)
         r = np.linspace(0.1, 8.0, 200)

@@ -29,7 +29,9 @@ def virial(f, prof, pg=None, plan=None):
     """The single-radius VirialReport for one profile."""
     gw = GridWeights(f.grid, f.params)
     pg = pg or ProfileOnGrid(prof, gw)
-    return virial_z_second(plan or SpectralPlan(f.grid), f, gw, {prof.R: pg})[prof.R]
+    plan = plan or SpectralPlan(f.grid)
+    energy = conservation(plan, f, gw).energy
+    return virial_z_second(plan, f, gw, {prof.R: pg}, energy)[prof.R]
 
 
 @pytest.fixture(scope="module")
@@ -231,10 +233,11 @@ def test_one_pass_matches_single_radius_calls(ndim, b, M):
     pgs = {R: ProfileOnGrid(build_cutoff(default_k(params), R, params), gw) for R in (1.0, 2.0, 4.0)}
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
     f = Field(params, grid, 0.7 * np.exp(-r2) * np.exp(0.3j * grid.coords()[0]))
-    fused = virial_z_second(plan, f, gw, pgs)
+    energy = conservation(plan, f, gw).energy
+    fused = virial_z_second(plan, f, gw, pgs, energy)
     assert list(fused) == [1.0, 2.0, 4.0]
     for R, pg in pgs.items():
-        assert fused[R] == virial_z_second(plan, f, gw, {R: pg})[R]
+        assert fused[R] == virial_z_second(plan, f, gw, {R: pg}, energy)[R]
 
 
 def test_csv_column_order_is_fixed():
@@ -263,7 +266,7 @@ def test_sample_row_is_keyed_by_csv_columns(grid, plan):
     row = sample(plan, f, gw, pgs, 0.25, 1e-3).row(4.0, -1.5)
     assert list(row) == CSV_COLUMNS
     cons = conservation(plan, f, gw)
-    v = virial_z_second(plan, f, gw, pgs)[4.0]
+    v = virial_z_second(plan, f, gw, pgs, cons.energy)[4.0]
     assert (row["t"], row["dt"], row["zR_second_fd"]) == (0.25, 1e-3, -1.5)
     assert (row["mass"], row["energy"]) == (cons.mass, cons.energy)
     assert row["grad_norm"] == np.sqrt(cons.kinetic)
@@ -336,9 +339,7 @@ def reference_virials(plan, f, gw, profiles):
     absu2 = np.abs(f.values) ** 2
     wup = gw.w_b * absu2 ** (params.p / 2.0)
     conj_u = np.conj(f.values)
-    G = quad * float(np.sum(grad2))
-    P = quad * float(np.sum(wup))
-    energy = 0.5 * G - params.energy_coefficient * P
+    energy = conservation(plan, f, gw).energy
 
     out = {}
     for prof in profiles:
@@ -383,7 +384,7 @@ def test_weighted_sums_match_the_per_radius_formulas(ndim, b, M):
     pgs = {p.R: ProfileOnGrid(p, gw) for p in profiles}
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
     f = Field(params, grid, 0.9 * np.exp(-r2 / 2.0) * np.exp(0.3j * grid.coords()[0]))
-    got = virial_z_second(plan, f, gw, pgs)
+    got = virial_z_second(plan, f, gw, pgs, conservation(plan, f, gw).energy)
     ref = reference_virials(plan, f, gw, profiles)
     for R in pgs:
         # the same products summed in the same order, so the same bits: a

@@ -50,8 +50,6 @@ class TestSolverConfig:
         [
             {"dt_floor": 1e-3, "dt0": 1e-4},
             {"dt_floor": 0.0},
-            {"safety": 0.0},
-            {"safety": 1.5},
             {"t_max": -1.0},
             {"gradnorm_ceiling": 0.0},
             {"sample_stride": 0},
