@@ -50,6 +50,8 @@ class TestSolverConfig:
         [
             {"dt_floor": 1e-3, "dt0": 1e-4},
             {"dt_floor": 0.0},
+            {"supnorm_ceiling": 0.0},
+            {"t_max": 0.0},
             {"t_max": -1.0},
             {"gradnorm_ceiling": 0.0},
             {"sample_stride": 0},
