@@ -204,6 +204,7 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
         "steps": report.steps,
         "E0": report.energy0,
         "M0": report.mass0,
+        "boundary_decay": report.boundary_decay,
         "alpha_summary": report.alpha_summary(),
         "gradnorm_ceiling_hit": report.gradnorm_ceiling_hit,
         "dt_floor_hit": report.dt_floor_hit,

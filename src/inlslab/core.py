@@ -164,6 +164,22 @@ def _gaussian(grid: Grid, amplitude: float, width: float, center) -> np.ndarray:
     return amplitude * np.exp(-r2 / (2.0 * width**2)) + 0.0j
 
 
+def boundary_decay(u: np.ndarray) -> float:
+    """Largest |u| on the faces of the box over the peak of |u|; 0 for
+    data that vanishes everywhere."""
+    peak = np.max(np.abs(u))
+    if not peak > 0:
+        return 0.0
+    edge = 0.0
+    for axis in range(u.ndim):
+        sl0 = [slice(None)] * u.ndim
+        sl1 = [slice(None)] * u.ndim
+        sl0[axis] = 0
+        sl1[axis] = -1
+        edge = max(edge, np.max(np.abs(u[tuple(sl0)])), np.max(np.abs(u[tuple(sl1)])))
+    return float(edge / peak)
+
+
 def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
     """Sample the initial data on the grid; warns if it fails to decay at
     the box boundary (box-adequacy check)."""
@@ -177,21 +193,13 @@ def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
     if init.kind == "sum_of_gaussians":
         u = u + _gaussian(grid, init.amplitude2, init.width2, init.center2)
 
-    peak = np.max(np.abs(u))
-    if peak > 0:
-        edge = 0.0
-        for axis in range(grid.ndim):
-            sl0 = [slice(None)] * grid.ndim
-            sl1 = [slice(None)] * grid.ndim
-            sl0[axis] = 0
-            sl1[axis] = -1
-            edge = max(edge, np.max(np.abs(u[tuple(sl0)])), np.max(np.abs(u[tuple(sl1)])))
-        if edge > BOUNDARY_DECAY_TOL * peak:
-            warnings.warn(
-                f"initial data is {edge / peak:.2e} of its peak at the box boundary "
-                f"(> {BOUNDARY_DECAY_TOL:g}); enlarge the box",
-                BoundaryDecayWarning,
-            )
+    decay = boundary_decay(u)
+    if decay > BOUNDARY_DECAY_TOL:
+        warnings.warn(
+            f"initial data is {decay:.2e} of its peak at the box boundary "
+            f"(> {BOUNDARY_DECAY_TOL:g}); enlarge the box",
+            BoundaryDecayWarning,
+        )
     return Field(params, grid, u)
 
 

@@ -1,8 +1,9 @@
 """Localization weight for the virial argument.
 
 v(r) equals 2r up to 1, bends down as 2r - 2(r-1)^k up to its maximum at
-r_star = 1 + (1/k)^(1/(k-1)), decreases smoothly to 0 at r = 2, and
-vanishes beyond. phi is its antiderivative; phi_R(r) = R^2 phi(r/R).
+r_star = 1 + (1/k)^(1/(k-1)), decreases smoothly to 0 at r = 2 along a
+degree-11 Bernstein polynomial (the bridge, class Bridge), and vanishes
+beyond. phi is its antiderivative; phi_R(r) = R^2 phi(r/R).
 The derived weights Phi_1 and Phi_2 and every pointwise inequality the
 concavity argument needs are verified here by dense sampling.
 
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .core import InvariantError, ProblemParams
 
@@ -68,14 +68,68 @@ def default_k(params: ProblemParams) -> int:
     return k
 
 
+ANTIDERIVATIVE = -1  # the order that asks Bridge for the integral from r_star
+
+
+class Bridge:
+    """A polynomial on [a, 2] with Bernstein coefficients c of degree n.
+    The coefficients of its first three derivatives (n diff(c)/h for each
+    order, h = 2 - a) and of its antiderivative from a
+    ([0, cumsum(c) h/(n+1)]) are formed once. Evaluation keeps the direct
+    Bernstein sum, so a zero of high order at 2 keeps its relative
+    accuracy."""
+
+    def __init__(self, a: float, c: np.ndarray):
+        h = 2.0 - a
+        coefs = {0: c}
+        for order in (1, 2, 3):
+            prev = coefs[order - 1]
+            coefs[order] = (prev.size - 1) * np.diff(prev) / h
+        coefs[ANTIDERIVATIVE] = np.concatenate([[0.0], np.cumsum(c) * h / c.size])
+        self.a, self.h = a, h
+        self.integral = float(coefs[ANTIDERIVATIVE][-1])  # from a to 2
+        # each coefficient times the binomial of its basis polynomial
+        self._terms = {
+            order: cs * np.array([math.comb(cs.size - 1, i) for i in range(cs.size)], dtype=float)
+            for order, cs in coefs.items()
+        }
+
+    def __call__(self, x, orders: tuple) -> list:
+        """The requested orders at the points x in [a, 2], from one table
+        of the powers of s = (x - a)/h and 1 - s."""
+        s = (np.asarray(x, dtype=float) - self.a) / self.h
+        terms = [self._terms[order] for order in orders]
+        degree = max(cs.size for cs in terms) - 1
+        t = 1.0 - s
+        tpow = [np.ones_like(s)]
+        for _ in range(degree):
+            tpow.append(tpow[-1] * t)
+        out = [np.zeros_like(s) for _ in orders]
+        spow = tpow[0]
+        last = max(np.flatnonzero(cs)[-1] for cs in terms)
+        for i in range(last + 1):
+            if i:
+                spow = spow * s
+            for acc, cs in zip(out, terms):
+                if i < cs.size and cs[i] != 0.0:
+                    acc += cs[i] * spow * tpow[cs.size - 1 - i]
+        return out
+
+
 def _build_bridge(k: int):
     """Degree-11 Hermite piece on [r_star, 2] matching v through the fifth
     derivative at r_star and vanishing with five derivatives at 2. The
     extra smoothness keeps quadratures of the derived weights at spectral
     grid resolution well below the diagnostic tolerances.
+
+    Its Bernstein coefficients are closed-form: the first six have the
+    forward differences Delta^m c_0 = v^(m)(a) h^m (11-m)!/11!, h = 2 - a,
+    and the last six are zero, since every derivative through the fifth
+    vanishes at 2.
     """
     a = r_star(k)
     d = a - 1.0
+    h = 2.0 - a
     va = 2.0 * a - 2.0 * d**k
 
     def deriv_at_a(n):
@@ -88,11 +142,14 @@ def _build_bridge(k: int):
         return c * d ** (k - n)
 
     left = [va, 0.0] + [deriv_at_a(n) for n in range(2, 6)]
-    right = [0.0] * 6
+    diffs = [left[m] * h**m * math.factorial(11 - m) / math.factorial(11) for m in range(6)]
+    c = np.zeros(12)
+    for j in range(6):
+        c[j] = sum(math.comb(j, m) * diffs[m] for m in range(j + 1))
 
-    bridge = BPoly.from_derivatives([a, 2.0], [left, right])
+    bridge = Bridge(a, c)
     t = np.linspace(a, 2.0, 10002)[1:-1]
-    if not np.all(bridge.derivative()(t) < 0.0):
+    if not np.all(bridge(t, (1,))[0] < 0.0):
         raise BridgeError(f"the bridge for k={k} is not strictly decreasing")
     return a, bridge
 
@@ -111,7 +168,7 @@ class CutoffProfile:
     R: float
     params: ProblemParams
     r_star: float
-    bridge: object  # BPoly on [r_star, 2]
+    bridge: Bridge  # the degree-11 piece on [r_star, 2]
 
     # --- rho-space profile -------------------------------------------------
 
@@ -138,11 +195,7 @@ class CutoffProfile:
 
         m = (rho > self.r_star) & (rho < 2.0)
         if np.any(m):
-            t = rho[m]
-            v[m] = self.bridge(t)
-            v1[m] = self.bridge.derivative(1)(t)
-            v2[m] = self.bridge.derivative(2)(t)
-            v3[m] = self.bridge.derivative(3)(t)
+            v[m], v1[m], v2[m], v3[m] = self.bridge(rho[m], (0, 1, 2, 3))
         return v, v1, v2, v3
 
     def v(self, rho):
@@ -154,7 +207,6 @@ class CutoffProfile:
         k = self.k
         a = self.r_star
         phi_star = a**2 - 2.0 * (a - 1.0) ** (k + 1) / (k + 1)
-        anti = self.bridge.antiderivative()
         out = np.empty_like(rho)
 
         m = rho <= 1.0
@@ -162,9 +214,9 @@ class CutoffProfile:
         m = (rho > 1.0) & (rho <= a)
         out[m] = rho[m] ** 2 - 2.0 * (rho[m] - 1.0) ** (k + 1) / (k + 1)
         m = (rho > a) & (rho < 2.0)
-        out[m] = phi_star + anti(rho[m])
+        out[m] = phi_star + self.bridge(rho[m], (ANTIDERIVATIVE,))[0]
         m = rho >= 2.0
-        out[m] = phi_star + anti(2.0)
+        out[m] = phi_star + self.bridge.integral
         return out
 
     # --- r-space profile ---------------------------------------------------
@@ -195,7 +247,8 @@ class CutoffProfile:
         m = (rho > self.r_star) & (rho < 2.0)
         if np.any(m):
             t = rho[m]
-            out[m] = self.bridge(t) - t * self.bridge.derivative(1)(t)
+            v, v1 = self.bridge(t, (0, 1))
+            out[m] = v - t * v1
         return self.R * out
 
     def bilaplacian_phi_R(self, r):
@@ -239,7 +292,7 @@ class CutoffProfile:
         out[m] = 8.0 * (rho[m] - 1.0) ** self.k / rho[m]
         m = (rho > self.r_star) & (rho < 2.0)
         if np.any(m):
-            out[m] = 4.0 * (2.0 - self.bridge(rho[m]) / rho[m])
+            out[m] = 4.0 * (2.0 - self.bridge(rho[m], (0,))[0] / rho[m])
         out[rho >= 2.0] = 8.0
         return out
 
@@ -254,10 +307,8 @@ class CutoffProfile:
         m = (rho > self.r_star) & (rho < 2.0)
         if np.any(m):
             t = rho[m]
-            out[m] = (2.0 / cN) * (
-                (2.0 - b) * (2.0 - self.bridge.derivative(1)(t))
-                + (2.0 * N - 2.0 + b) * (2.0 - self.bridge(t) / t)
-            )
+            v, v1 = self.bridge(t, (0, 1))
+            out[m] = (2.0 / cN) * ((2.0 - b) * (2.0 - v1) + (2.0 * N - 2.0 + b) * (2.0 - v / t))
         out[rho >= 2.0] = 8.0 * N / cN
         return out
 

@@ -79,12 +79,47 @@ def _quad(grid: Grid, arr) -> float:
     return grid.cell_volume * float(np.sum(arr))
 
 
-def lhs_rhs(case: IneqCase, f: Field, plan: SpectralPlan | None = None) -> tuple:
-    """Both sides of the chosen inequality with implicit constant 1."""
+@dataclass(frozen=True)
+class CaseWeights:
+    """The factors of a weighted estimate that do not depend on the field:
+    w, (d/dr w^e)^2 and w^2e on the case's grid, plus w^(e/2) for otn1."""
+
+    w: np.ndarray
+    dpow2: np.ndarray
+    w2e: np.ndarray
+    w_half_e: np.ndarray | None = None
+
+
+def case_weights(case: IneqCase) -> CaseWeights | None:
+    """The weights of a case, built once for all its trials; None for gn,
+    which is unweighted."""
+    if case.which == "gn":
+        return None
+    r = case.grid.radii()
+    w = case.weight.w(r)
+    if np.any(w < 0):
+        raise InvariantError("weight must be nonnegative")
+    if case.which == "interp1" and case.params.ndim == 2:
+        raise InvariantError("interp1 applies for N != 2")
+    e = weight_exponent(case.params)
+    dpow2 = case.weight.dpow(r, e) ** 2
+    # formed after dpow's temporaries are freed, so peak memory stays put
+    w2e = w ** (2 * e)
+    w_half_e = w ** (e / 2.0) if case.which == "otn1" else None
+    return CaseWeights(w, dpow2, w2e, w_half_e)
+
+
+def lhs_rhs(
+    case: IneqCase,
+    f: Field,
+    plan: SpectralPlan | None = None,
+    weights: CaseWeights | None = None,
+) -> tuple:
+    """Both sides of the chosen inequality with implicit constant 1.
+    weights, when given, must be case_weights(case)."""
     plan = plan or SpectralPlan(case.grid)
     grid, params = case.grid, case.params
     N, b = params.ndim, params.b
-    r = grid.radii()
     u = f.values
     absu = np.abs(u)
     grads = plan.gradient_arrays(u)
@@ -98,23 +133,18 @@ def lhs_rhs(case: IneqCase, f: Field, plan: SpectralPlan | None = None) -> tuple
         rhs = gn ** (N * sigma) * l2 ** (2.0 + sigma * (2.0 - N))
         return lhs, rhs
 
-    w = case.weight.w(r)
-    if np.any(w < 0):
-        raise InvariantError("weight must be nonnegative")
-    if case.which == "interp1" and N == 2:
-        raise InvariantError("interp1 applies for N != 2")
-    e = weight_exponent(params)
+    if weights is None:
+        weights = case_weights(case)
+    w = weights.w
     # every weighted estimate bounds by sqrt int |d(w^e)|^2 |u|^2 +
     # sqrt int w^2e |grad u|^2; interp2 adds sqrt int w^2e |u|^2 in front
-    term = np.sqrt(_quad(grid, case.weight.dpow(r, e) ** 2 * absu**2))
-    # formed after dpow's temporaries are freed, so peak memory stays put
-    w2e = w ** (2 * e)
+    term = np.sqrt(_quad(grid, weights.dpow2 * absu**2))
     if case.which == "interp2":
-        term = np.sqrt(_quad(grid, w2e * absu**2)) + term
-    term = term + np.sqrt(_quad(grid, w2e * grad2))
+        term = np.sqrt(_quad(grid, weights.w2e * absu**2)) + term
+    term = term + np.sqrt(_quad(grid, weights.w2e * grad2))
 
     if case.which == "otn1":
-        lhs = float(np.max(w ** (e / 2.0) * absu))
+        lhs = float(np.max(weights.w_half_e * absu))
         rhs = np.sqrt(l2) * np.sqrt(term)
         return lhs, rhs
 
@@ -164,12 +194,13 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     if trials < 1:
         raise InvariantError("trials must be >= 1")
     plan = SpectralPlan(case.grid)
+    weights = case_weights(case)
     L = case.grid.half_width
     k0 = np.pi / L
 
     def ratio_of(u):
         f = Field(case.params, case.grid, u)
-        lhs, rhs = lhs_rhs(case, f, plan)
+        lhs, rhs = lhs_rhs(case, f, plan, weights)
         return lhs / rhs if rhs > 0 else 0.0
 
     ratios = []

@@ -19,7 +19,16 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import observables as obs
-from .core import Field, Grid, InitialData, InvariantError, ProblemParams, realize, write_checkpoint
+from .core import (
+    Field,
+    Grid,
+    InitialData,
+    InvariantError,
+    ProblemParams,
+    boundary_decay,
+    realize,
+    write_checkpoint,
+)
 from .spectral import SpectralPlan
 
 OUTCOME_REACHED_T_MAX = "reached_t_max"
@@ -62,6 +71,9 @@ class RunReport:
     blowup_time_bracket: tuple | None = None
     gradnorm_ceiling_hit: bool = False
     dt_floor_hit: bool = False
+    # |u| on the box faces over its peak at t = 0, the ratio realize warns
+    # about; None for data read from a checkpoint, which realize takes as is
+    boundary_decay: float | None = None
     checkpoints: list = dc_field(default_factory=list)
 
     def zR_second_fd(self, R: float) -> np.ndarray:
@@ -193,6 +205,7 @@ def run(
         series=series,
         energy0=series[0].conservation.energy,
         mass0=mass0,
+        boundary_decay=None if init.kind == "from_checkpoint" else boundary_decay(f.values),
     )
 
     def checkpoint(t, tag):

@@ -15,7 +15,16 @@ from inlslab.cli import (
     parse_config,
     virial_audit,
 )
-from inlslab.core import Field, Grid, InitialData, ProblemParams, read_checkpoint, write_checkpoint
+from inlslab.core import (
+    BOUNDARY_DECAY_TOL,
+    BoundaryDecayWarning,
+    Field,
+    Grid,
+    InitialData,
+    ProblemParams,
+    read_checkpoint,
+    write_checkpoint,
+)
 from inlslab.solver import SolverConfig
 
 # few, reproducible examples: these run in the default suite
@@ -270,6 +279,30 @@ class TestSimulate:
             assert key in man["init"]
         for key in ("supnorm_ceiling", "checkpoint_stride"):
             assert key in man["solver"]
+
+    def test_manifest_records_boundary_decay(self, tmp_path):
+        # width 4 on L = 10: the Gaussian wraps around the box, realize
+        # warns, and the manifest keeps the ratio it warned about
+        text = MINIMAL.replace("width = 1.0", "width = 4.0")
+        out = tmp_path / "wide"
+        with pytest.warns(BoundaryDecayWarning):
+            assert main(["simulate", "--config", self.write_cfg(tmp_path, text), "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        # cell-centered: the peak sample is at h/2, the edge one at L - h/2
+        half = 10.0 / 256
+        expected = np.exp(-((10.0 - half) ** 2 - half**2) / 32.0)
+        assert man["boundary_decay"] == pytest.approx(expected, rel=1e-12)
+        assert man["boundary_decay"] > BOUNDARY_DECAY_TOL
+
+        # data read from a checkpoint is taken as is: nothing to record
+        ckpt = tmp_path / "start.bin"
+        grid = Grid(1, 10.0, 256)
+        u = 0.4 * np.exp(-(grid.axis_coords() ** 2) / 2.0) + 0.0j
+        write_checkpoint(str(ckpt), Field(ProblemParams(1, 0.5), grid, u))
+        text = MINIMAL.replace("kind = gaussian", f"kind = from_checkpoint\ncheckpoint = {ckpt}")
+        out = tmp_path / "restart"
+        assert main(["simulate", "--config", self.write_cfg(tmp_path, text), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["boundary_decay"] is None
 
     def test_detection_exit_code(self, tmp_path):
         text = MINIMAL.replace(

@@ -1,10 +1,18 @@
 """Localization weight construction and its pointwise certificates."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
+
+import inlslab
 
 from inlslab.core import InvariantError, ProblemParams
 from inlslab.cutoff import (
+    ANTIDERIVATIVE,
     ConstraintError,
     UnboundedRatioError,
     bilaplacian_sup,
@@ -81,6 +89,51 @@ class TestProfileShape:
         prof7 = build_cutoff(5, 7.0, P1)
         rho = np.linspace(0.1, 3.0, 101)
         assert np.allclose(prof7.phi_R(7.0 * rho), 49.0 * prof1.phi_R(rho))
+
+
+def _left_derivatives(k, a):
+    """v and its first five derivatives at a = r_star, from 2r - 2(r-1)^k."""
+    d = a - 1.0
+    out = [2.0 * a - 2.0 * d**k, 0.0]
+    for n in range(2, 6):
+        c = -2.0
+        for j in range(n):
+            c *= k - j
+        out.append(c * d ** (k - n) if k >= n else 0.0)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 41, 401, 4001])
+class TestBridgeKernel:
+    def test_matches_bpoly(self, k):
+        # the closed-form Bernstein coefficients and their cached
+        # derivatives and antiderivative against scipy's construction
+        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+        a = prof.r_star
+        ref = BPoly.from_derivatives([a, 2.0], [_left_derivatives(k, a), [0.0] * 6])
+        x = np.linspace(a, 2.0, 20001)
+        got = prof.bridge(x, (0, 1, 2, 3, ANTIDERIVATIVE))
+        want = [ref(x)] + [ref.derivative(n)(x) for n in (1, 2, 3)] + [ref.antiderivative()(x)]
+        for order, g, w in zip((0, 1, 2, 3, ANTIDERIVATIVE), got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), order
+
+    def test_v_derivs_match_left_data_at_r_star(self, k):
+        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+        # one ulp right of r_star, so the bridge branch answers
+        rho = np.array([np.nextafter(prof.r_star, 2.0)])
+        for got, want in zip(prof.v_derivs(rho), _left_derivatives(k, prof.r_star)):
+            assert abs(got[0] - want) <= 1e-10 * max(abs(want), 1.0)
+
+    def test_vanishes_to_fifth_order_at_two(self, k):
+        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+        assert all(val[0] == 0.0 for val in prof.bridge(np.array([2.0]), (0, 1, 2, 3)))
+        # v(2 - delta) ~ C delta^6 with C > 0, kept to relative accuracy
+        h = 2.0 - prof.r_star
+        delta = h * np.array([1e-3, 1e-4, 1e-5])
+        ratio = prof.v(2.0 - delta) / delta**6
+        assert np.all(ratio > 0.0)
+        assert abs(ratio[2] / ratio[1] - 1.0) < 1e-3
+        assert abs(ratio[1] / ratio[0] - 1.0) < 1e-2
 
 
 class TestKRule:
@@ -265,3 +318,16 @@ def test_virial_profile_equals_the_separate_evaluators(N, b, R):
     assert np.array_equal(dphi_over_r, prof.dphi_R_over_r(r))
     assert np.array_equal(d2phi, prof.d2phi_R(r))
     assert np.array_equal(bilap, prof.bilaplacian_phi_R(r))
+
+
+def test_cli_imports_no_interpolation_or_optimization():
+    # the package uses only scipy.fft; scipy.interpolate alone cost about
+    # a third of every command's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(inlslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import inlslab.cli, sys; "
+        "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
