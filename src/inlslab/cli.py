@@ -188,9 +188,9 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
             files.append(name)
     files.extend(os.path.relpath(p, cfg.out_dir) for p in report.checkpoints)
 
-    # the effective config, less out_dir: reruns into other directories
-    # must write the same bytes
-    config = asdict(replace(cfg, cutoff_k=k))
+    # the effective config with k as built (a sweep passes a float), less
+    # out_dir: reruns into other directories must write the same bytes
+    config = asdict(replace(cfg, cutoff_k=int(k)))
     del config["out_dir"]
     mass_drift, energy_drift = _drifts(
         np.array([s.conservation.mass for s in report.series]),
@@ -226,7 +226,7 @@ SWEEP_AXES = {
     "amplitude": lambda cfg, v: replace(cfg, init=replace(cfg.init, amplitude=v)),
     "R": lambda cfg, v: replace(cfg, cutoff_R=(v,)),
     "b": lambda cfg, v: replace(cfg, params=ProblemParams(cfg.params.ndim, v)),
-    "k": lambda cfg, v: replace(cfg, cutoff_k=int(v)),
+    "k": lambda cfg, v: replace(cfg, cutoff_k=v),  # build_cutoff rejects a non-integer k
 }
 
 

@@ -13,6 +13,7 @@ makes every certificate R-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -116,6 +117,7 @@ class Bridge:
         return out
 
 
+@functools.cache
 def _build_bridge(k: int):
     """Degree-11 Hermite piece on [r_star, 2] matching v through the fifth
     derivative at r_star and vanishing with five derivatives at 2. The
@@ -125,7 +127,7 @@ def _build_bridge(k: int):
     Its Bernstein coefficients are closed-form: the first six have the
     forward differences Delta^m c_0 = v^(m)(a) h^m (11-m)!/11!, h = 2 - a,
     and the last six are zero, since every derivative through the fifth
-    vanishes at 2.
+    vanishes at 2. It depends on k alone: built and checked once per k.
     """
     a = r_star(k)
     d = a - 1.0
@@ -316,7 +318,7 @@ class CutoffProfile:
 def build_cutoff(k: int, R: float, params: ProblemParams, validate_k: bool = True) -> CutoffProfile:
     """Construct and certify the profile. validate_k=False skips the strict
     k bounds (used to exercise the unbounded-ratio error path)."""
-    if int(k) != k or k < 2:
+    if not float(k).is_integer() or k < 2:
         raise ConstraintError(f"k must be an integer >= 2, got {k}")
     k = int(k)
     if R <= 0:
@@ -399,11 +401,11 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
     q = 2.0 * weight_exponent(profile.params)
     R = profile.R
 
-    def ratio(rho):
-        """(Phi_2^q / Phi_1, Phi_1, Phi_2^q) at rho; the ratio is 0 where
-        Phi_1 vanishes."""
-        p1 = profile.phi1(rho * R)
-        p2 = profile.phi2(rho * R)
+    def ratio(prof, rho):
+        """(Phi_2^q / Phi_1, Phi_1, Phi_2^q) of prof at rho; the ratio is 0
+        where Phi_1 vanishes."""
+        p1 = prof.phi1(rho * prof.R)
+        p2 = prof.phi2(rho * prof.R)
         bad = (p1 == 0.0) & (p2 > 0.0)
         if np.any(bad):
             raise RuntimeError("Phi_1 vanishes where Phi_2 does not: broken construction")
@@ -418,7 +420,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
     # ratio as rho-1 shrinks means the one-sided limit diverges (the
     # divergence can be slow, so a magnitude heuristic is not enough).
     deltas = np.array([1e-6, 1e-7, 1e-8])
-    probe_vals = ratio(1.0 + deltas)[0]
+    probe_vals = ratio(profile, 1.0 + deltas)[0]
     if probe_vals[0] > 0.0 and probe_vals[2] > 0.0:
         slope = np.log(probe_vals[2] / probe_vals[0]) / np.log(deltas[0] / deltas[2])
         if slope > 0.01:
@@ -429,7 +431,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
 
     rho = _rho_samples(profile, samples)
     rho = rho[rho > 1.0 + 1e-6]
-    vals, p1, p2q = ratio(rho)
+    vals, p1, p2q = ratio(profile, rho)
     i = int(np.argmax(vals))
     sup_ratio = float(vals[i])
     eps = 1.0 / (2.0 * c * sup_ratio)
@@ -441,10 +443,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
     # R-independence: the construction depends only on r/R
     eps_other = []
     for r_alt in (1.0, 10.0, 100.0):
-        alt = replace(profile, R=r_alt)
-        vals_alt = alt.phi2(rho * r_alt) ** q
-        p1_alt = alt.phi1(rho * r_alt)
-        s_alt = float(np.max(vals_alt[p1_alt > 0] / p1_alt[p1_alt > 0]))
+        s_alt = float(np.max(ratio(replace(profile, R=r_alt), rho)[0]))
         eps_other.append(1.0 / (2.0 * c * s_alt))
     spread = (max(eps_other) - min(eps_other)) / max(eps_other)
     if spread > 1e-6:

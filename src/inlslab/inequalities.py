@@ -57,72 +57,58 @@ class RadialWeight:
 
 @dataclass(frozen=True)
 class IneqCase:
+    """One inequality on one grid with one weight, validated when built.
+    Construction also builds, once for all trials, the spectral plan and
+    the factors that do not depend on the field: w, (d/dr w^e)^2 and w^2e
+    on the grid, plus w^(e/2) for otn1; all None for gn, which is
+    unweighted."""
+
     which: str
     params: ProblemParams
     grid: Grid
     weight: RadialWeight = dc_field(default_factory=lambda: RadialWeight("constant"))
+    plan: SpectralPlan = dc_field(init=False, compare=False, repr=False)
+    w: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
+    dpow2: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
+    w2e: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
+    w_half_e: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.which not in WHICH:
             raise InvariantError(f"unknown inequality {self.which!r}")
+        if self.which == "interp1" and self.params.ndim == 2:
+            raise InvariantError("interp1 applies for N != 2")
         if self.which == "interp2" and self.params.ndim != 2:
             raise InvariantError("interp2 requires N=2")
         if self.which == "otn1" and self.params.ndim != 1:
             raise InvariantError("otn1 requires N=1")
-        if self.which == "gn" and self.params.ndim == 3:
-            sigma = (2.0 - self.params.b) / self.params.ndim
-            if not sigma < 2.0 / (self.params.ndim - 2):
-                raise InvariantError("gn requires sigma < 2/(N-2)")
+        built = dict(plan=SpectralPlan(self.grid), w=None, dpow2=None, w2e=None, w_half_e=None)
+        if self.which != "gn":
+            r = self.grid.radii()
+            w = built["w"] = self.weight.w(r)
+            if np.any(w < 0):
+                raise InvariantError("weight must be nonnegative")
+            e = weight_exponent(self.params)
+            built["dpow2"] = self.weight.dpow(r, e) ** 2
+            # formed after dpow's temporaries are freed, so peak memory stays put
+            built["w2e"] = w ** (2 * e)
+            if self.which == "otn1":
+                built["w_half_e"] = w ** (e / 2.0)
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
 
 def _quad(grid: Grid, arr) -> float:
     return grid.cell_volume * float(np.sum(arr))
 
 
-@dataclass(frozen=True)
-class CaseWeights:
-    """The factors of a weighted estimate that do not depend on the field:
-    w, (d/dr w^e)^2 and w^2e on the case's grid, plus w^(e/2) for otn1."""
-
-    w: np.ndarray
-    dpow2: np.ndarray
-    w2e: np.ndarray
-    w_half_e: np.ndarray | None = None
-
-
-def case_weights(case: IneqCase) -> CaseWeights | None:
-    """The weights of a case, built once for all its trials; None for gn,
-    which is unweighted."""
-    if case.which == "gn":
-        return None
-    r = case.grid.radii()
-    w = case.weight.w(r)
-    if np.any(w < 0):
-        raise InvariantError("weight must be nonnegative")
-    if case.which == "interp1" and case.params.ndim == 2:
-        raise InvariantError("interp1 applies for N != 2")
-    e = weight_exponent(case.params)
-    dpow2 = case.weight.dpow(r, e) ** 2
-    # formed after dpow's temporaries are freed, so peak memory stays put
-    w2e = w ** (2 * e)
-    w_half_e = w ** (e / 2.0) if case.which == "otn1" else None
-    return CaseWeights(w, dpow2, w2e, w_half_e)
-
-
-def lhs_rhs(
-    case: IneqCase,
-    f: Field,
-    plan: SpectralPlan | None = None,
-    weights: CaseWeights | None = None,
-) -> tuple:
-    """Both sides of the chosen inequality with implicit constant 1.
-    weights, when given, must be case_weights(case)."""
-    plan = plan or SpectralPlan(case.grid)
+def lhs_rhs(case: IneqCase, f: Field) -> tuple:
+    """Both sides of the chosen inequality with implicit constant 1."""
     grid, params = case.grid, case.params
     N, b = params.ndim, params.b
     u = f.values
     absu = np.abs(u)
-    grads = plan.gradient_arrays(u)
+    grads = case.plan.gradient_arrays(u)
     grad2 = sum(np.abs(g) ** 2 for g in grads)
     l2 = np.sqrt(_quad(grid, absu**2))
 
@@ -133,28 +119,25 @@ def lhs_rhs(
         rhs = gn ** (N * sigma) * l2 ** (2.0 + sigma * (2.0 - N))
         return lhs, rhs
 
-    if weights is None:
-        weights = case_weights(case)
-    w = weights.w
     # every weighted estimate bounds by sqrt int |d(w^e)|^2 |u|^2 +
     # sqrt int w^2e |grad u|^2; interp2 adds sqrt int w^2e |u|^2 in front
-    term = np.sqrt(_quad(grid, weights.dpow2 * absu**2))
+    term = np.sqrt(_quad(grid, case.dpow2 * absu**2))
     if case.which == "interp2":
-        term = np.sqrt(_quad(grid, weights.w2e * absu**2)) + term
-    term = term + np.sqrt(_quad(grid, weights.w2e * grad2))
+        term = np.sqrt(_quad(grid, case.w2e * absu**2)) + term
+    term = term + np.sqrt(_quad(grid, case.w2e * grad2))
 
     if case.which == "otn1":
-        lhs = float(np.max(weights.w_half_e * absu))
+        lhs = float(np.max(case.w_half_e * absu))
         rhs = np.sqrt(l2) * np.sqrt(term)
         return lhs, rhs
 
     if case.which == "interp1":
-        lhs = _quad(grid, w * absu**params.p)
+        lhs = _quad(grid, case.w * absu**params.p)
         rhs = term ** (2.0 - b) * l2 ** ((4.0 + b * (N - 2.0)) / N)
         return lhs, rhs
 
     # interp2, N = 2
-    lhs = _quad(grid, w * absu ** (4.0 - b))
+    lhs = _quad(grid, case.w * absu ** (4.0 - b))
     rhs = term ** (2.0 - b / 2.0) * l2 ** (2.0 - b / 2.0)
     return lhs, rhs
 
@@ -193,14 +176,12 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     by a coordinate-search refinement around the best Gaussian member."""
     if trials < 1:
         raise InvariantError("trials must be >= 1")
-    plan = SpectralPlan(case.grid)
-    weights = case_weights(case)
     L = case.grid.half_width
     k0 = np.pi / L
 
     def ratio_of(u):
         f = Field(case.params, case.grid, u)
-        lhs, rhs = lhs_rhs(case, f, plan, weights)
+        lhs, rhs = lhs_rhs(case, f)
         return lhs / rhs if rhs > 0 else 0.0
 
     ratios = []

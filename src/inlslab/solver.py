@@ -13,6 +13,7 @@ flag; the run stops once the gradient ceiling is crossed at a sample.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -50,10 +51,14 @@ class SolverConfig:
     checkpoint_stride: int = 1  # samples per checkpoint, when run writes them
 
     def __post_init__(self):
+        for name in ("dt0", "dt_floor", "t_max", "c_cfl", "gradnorm_ceiling", "supnorm_ceiling"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantError(f"{name} must be finite")
         if not (0.0 < self.dt_floor < self.dt0):
             raise InvariantError("need 0 < dt_floor < dt0")
-        if self.t_max <= 0 or self.gradnorm_ceiling <= 0 or self.supnorm_ceiling <= 0:
-            raise InvariantError("t_max and ceilings must be positive")
+        # c_cfl <= 0 would clamp every step to dt_floor: a blow-up for any data
+        if min(self.t_max, self.c_cfl, self.gradnorm_ceiling, self.supnorm_ceiling) <= 0:
+            raise InvariantError("t_max, c_cfl and ceilings must be positive")
         if self.sample_stride < 1:
             raise InvariantError("sample_stride must be >= 1")
         if self.checkpoint_stride < 1:
@@ -197,16 +202,7 @@ def run(
     u = f.values.copy()
     series = [obs.sample(plan, f, gw, pgs, 0.0, cfg.dt0)]
     mass0 = series[0].conservation.mass
-    gn_floor_time = None
-    report = RunReport(
-        outcome=OUTCOME_REACHED_T_MAX,
-        t_end=0.0,
-        steps=0,
-        series=series,
-        energy0=series[0].conservation.energy,
-        mass0=mass0,
-        boundary_decay=None if init.kind == "from_checkpoint" else boundary_decay(f.values),
-    )
+    checkpoints = []
 
     def checkpoint(t, tag):
         if checkpoint_dir is None:
@@ -214,62 +210,55 @@ def run(
         os.makedirs(checkpoint_dir, exist_ok=True)
         path = os.path.join(checkpoint_dir, f"ckpt_{tag}.bin")
         write_checkpoint(path, Field(params, grid, u), t=t)
-        report.checkpoints.append(path)
+        checkpoints.append(path)
 
     def observe(t, dt):
-        """Flush the pending linear tail and take a sample at t; True when
-        the sample stops the run (mass drift or a ceiling)."""
-        nonlocal u, pending, last_sample_t
+        """Flush the pending linear tail and take a sample at t; returns
+        the outcome that stops the run (mass drift or a ceiling), or None."""
+        nonlocal u, pending
         u = plan.free_propagate_array(u, pending)
         pending = 0.0
         s = obs.sample(plan, Field(params, grid, u), gw, pgs, t, dt)
         series.append(s)
-        report.t_end = t
-        report.steps = step
         drift = abs(s.conservation.mass / mass0 - 1.0) if mass0 > 0 else 0.0
         if drift > MASS_DRIFT_LIMIT:
-            report.outcome = OUTCOME_INSTABILITY
-            return True
+            return OUTCOME_INSTABILITY
         if step % (cfg.sample_stride * cfg.checkpoint_stride) == 0:
             checkpoint(t, f"{step:09d}")
         if s.grad_norm > cfg.gradnorm_ceiling or s.sup_norm > cfg.supnorm_ceiling:
-            report.gradnorm_ceiling_hit = s.grad_norm > cfg.gradnorm_ceiling
-            report.outcome = OUTCOME_BLOWUP
-            lo = gn_floor_time if gn_floor_time is not None else last_sample_t
-            report.blowup_time_bracket = (lo, t)
-            checkpoint(t, "final")
-            return True
-        last_sample_t = t
-        return False
+            return OUTCOME_BLOWUP
+        return None
 
     checkpoint(0.0, "000000000")
 
     # Adjacent linear half-steps are merged between samples:
     # free(a) o free(b) = free(a+b), so a "pending" linear tail is carried
     # and flushed before each sample. Exactly Strang, half the transforms.
+    # The loop ends only right after a sample at t, or on a non-finite
+    # step, with t and step those of the last good step.
     t = 0.0
     step = 0
     step_dt = cfg.dt0  # size of the last step taken
     pending = 0.0  # linear propagation owed to reach physical time t
-    last_sample_t = 0.0
+    floor_time = None  # t at the first dt-floor crossing
+    stop = None  # the outcome that ended the loop early
     # phase-rotation rate |x|^-b |u|^sigma driving the step control; after
     # the first step it is reused from the phase stage (one step stale,
     # which the c_cfl margin absorbs)
     rate = float(np.max(gw.w_b * _abs_pow(np.abs(u), sigma)))
-    while t < cfg.t_max:
+    while stop is None and t < cfg.t_max:
         dt = min(cfg.dt0, cfg.c_cfl / rate if rate > 0 else cfg.dt0)
         if dt < cfg.dt_floor:
             dt = cfg.dt_floor
-            if not report.dt_floor_hit:
-                report.dt_floor_hit = True
-                gn_floor_time = t
+            if floor_time is None:
+                floor_time = t
         # avoid a roundoff-sized final step: it would poison the sample
         # spacing used by the finite-difference diagnostics. The summed
         # steps fell short of t_max by roundoff, so this is the end of the
         # run: sample the last step if the stride skipped it.
         if cfg.t_max - t <= 1e-5 * dt:
-            if series[-1].t != t and observe(t, step_dt):
-                return report
+            if series[-1].t != t:
+                stop = observe(t, step_dt)
             break
         dt = min(dt, cfg.t_max - t)
 
@@ -278,25 +267,34 @@ def run(
         pending = 0.5 * dt
 
         if not np.isfinite(rate):
-            report.outcome = OUTCOME_INSTABILITY
-            report.t_end = t
-            report.steps = step
-            return report
+            stop = OUTCOME_INSTABILITY
+            break
         u = unew
         t += dt
         step += 1
         step_dt = dt
 
-        if (step % cfg.sample_stride == 0 or t >= cfg.t_max) and observe(t, dt):
-            return report
+        if step % cfg.sample_stride == 0 or t >= cfg.t_max:
+            stop = observe(t, dt)
 
-    u = plan.free_propagate_array(u, pending)
-    report.t_end = t
-    report.steps = step
-    if report.dt_floor_hit:
-        # floor crossed but ceiling never hit before t_max: still a
-        # blow-up signal, bracketed from the floor crossing
-        report.outcome = OUTCOME_BLOWUP
-        report.blowup_time_bracket = (gn_floor_time, t)
-    checkpoint(t, "final")
-    return report
+    # a floor crossing without a ceiling by t_max is still a blow-up signal
+    outcome = stop or (OUTCOME_BLOWUP if floor_time is not None else OUTCOME_REACHED_T_MAX)
+    if outcome != OUTCOME_INSTABILITY:
+        checkpoint(t, "final")
+    bracket = None
+    if outcome == OUTCOME_BLOWUP:
+        # from the floor crossing, else from the last sample under the ceiling
+        bracket = (floor_time if floor_time is not None else series[-2].t, t)
+    return RunReport(
+        outcome=outcome,
+        t_end=t,
+        steps=step,
+        series=series,
+        energy0=series[0].conservation.energy,
+        mass0=mass0,
+        blowup_time_bracket=bracket,
+        gradnorm_ceiling_hit=bracket is not None and series[-1].grad_norm > cfg.gradnorm_ceiling,
+        dt_floor_hit=floor_time is not None,
+        boundary_decay=None if init.kind == "from_checkpoint" else boundary_decay(f.values),
+        checkpoints=checkpoints,
+    )

@@ -212,6 +212,23 @@ class TestParseConfig:
             parse_config(text)
         assert exc.value.violations == ["unknown key 'safety' in [solver]"]
 
+    @pytest.mark.parametrize(
+        "line, violation",
+        [
+            ("c_cfl = 0", "[solver] t_max, c_cfl and ceilings must be positive"),
+            ("c_cfl = -1", "[solver] t_max, c_cfl and ceilings must be positive"),
+            ("t_max = nan", "[solver] t_max must be finite"),
+            ("gradnorm_ceiling = nan", "[solver] gradnorm_ceiling must be finite"),
+        ],
+    )
+    def test_non_positive_c_cfl_and_non_finite_floats_are_errors(self, line, violation):
+        # c_cfl <= 0 clamped every step to dt_floor and reported a blow-up
+        # for positive-energy data; a NaN t_max ran no step
+        text = MINIMAL.replace("t_max = 0.02\n", f"{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.violations == [violation]
+
     def test_checkpoint_stride_zero_is_an_error(self):
         text = MINIMAL.replace("sample_stride = 5\n", "sample_stride = 5\ncheckpoint_stride = 0\n")
         with pytest.raises(ConfigError, match="checkpoint_stride must be >= 1"):
@@ -374,6 +391,20 @@ class TestSweepPlotAudit:
         assert lines[1] == "2.5,error,nan,nan,nan"
         assert lines[2].startswith("0.5,reached_t_max,")
         assert "b=2.5" in capsys.readouterr().err
+
+    def test_sweep_over_a_non_integer_k_is_an_error_row(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = str(tmp_path / "sw")
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "k", "--values", "5.5,inf,6"]
+        assert main(argv + ["--out-dir", out]) == 1
+        with open(os.path.join(out, "summary.csv")) as fh:
+            lines = fh.read().strip().splitlines()
+        assert lines[1:3] == ["5.5,error,nan,nan,nan", "inf,error,nan,nan,nan"]
+        assert lines[3].startswith("6,reached_t_max,")
+        assert "k must be an integer" in capsys.readouterr().err
+        with open(os.path.join(out, "k_6", "manifest.json")) as fh:
+            assert '"cutoff_k": 6,' in fh.read()
 
     def simulate_with_checkpoints(self, tmp_path, text=MINIMAL):
         cfg_path = tmp_path / "run.cfg"

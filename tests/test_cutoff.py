@@ -55,6 +55,12 @@ class TestProfileShape:
             v1 = prof.v_derivs(rho)[1]
             assert np.all(v1 < 0.0)
 
+    def test_profiles_with_the_same_k_share_one_bridge(self):
+        # the bridge depends on k alone: built and checked once per k
+        prof = build_cutoff(5, 1.0, P1)
+        assert build_cutoff(5, 7.0, ProblemParams(3, 0.5)).bridge is prof.bridge
+        assert build_cutoff(6, 1.0, P1).bridge is not prof.bridge
+
     @pytest.mark.parametrize("k", [3, 5, 9])
     def test_v_smooth_at_joints(self, k):
         # both branches are closed forms: v through its third derivative

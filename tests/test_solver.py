@@ -56,6 +56,12 @@ class TestSolverConfig:
             {"gradnorm_ceiling": 0.0},
             {"sample_stride": 0},
             {"checkpoint_stride": 0},
+            {"c_cfl": 0.0},
+            {"c_cfl": -1.0},
+            {"c_cfl": float("inf")},
+            {"t_max": float("nan")},
+            {"gradnorm_ceiling": float("nan")},
+            {"supnorm_ceiling": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -284,6 +290,58 @@ class TestRun:
         assert rep.steps == 3
         assert rep.t_end == pytest.approx(3 * 1e-3, rel=1e-12)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "amplitude, overrides, outcome, ceiling_hit, floor_hit, steps",
+        [
+            (1e-3, {}, OUTCOME_REACHED_T_MAX, False, False, 50),
+            (2.0, {"dt_floor": 9e-4}, OUTCOME_BLOWUP, False, True, 53),
+            (2.0, {"gradnorm_ceiling": 4.5}, OUTCOME_BLOWUP, True, False, 20),
+            (0.4, {}, OUTCOME_INSTABILITY, False, False, 3),
+        ],
+        ids=["reached_t_max", "floor_only_blowup", "ceiling_blowup", "non_finite"],
+    )
+    def test_end_state_of_each_stop_reason(
+        self, amplitude, overrides, outcome, ceiling_hit, floor_hit, steps, tmp_path, monkeypatch
+    ):
+        if outcome == OUTCOME_INSTABILITY:
+            # a NaN in the field the fourth step hands to the phase stage,
+            # before the first sample at step 5
+            propagate = SpectralPlan.free_propagate_array
+            calls = []
+
+            def corrupting(plan, values, dt):
+                calls.append(dt)
+                out = propagate(plan, values, dt)
+                return np.where(np.arange(out.size) == 7, np.nan, out) if len(calls) == 4 else out
+
+            monkeypatch.setattr(SpectralPlan, "free_propagate_array", corrupting)
+        init = InitialData(kind="gaussian", amplitude=amplitude, width=0.5)
+        rep = run(init, PARAMS, GRID, self.cfg(**overrides), PROFILES, checkpoint_dir=str(tmp_path))
+        assert (rep.outcome, rep.gradnorm_ceiling_hit, rep.dt_floor_hit, rep.steps) == (
+            outcome, ceiling_hit, floor_hit, steps
+        )
+        final = tmp_path / "ckpt_final.bin"
+        if outcome == OUTCOME_INSTABILITY:
+            # the last good step, past the last sample; no final checkpoint
+            assert rep.t_end == pytest.approx(3e-3, rel=1e-12) and rep.series[-1].t == 0.0
+            assert rep.blowup_time_bracket is None and not final.exists()
+            return
+        assert rep.t_end == rep.series[-1].t
+        assert read_checkpoint(final)[1] == rep.t_end
+        if outcome == OUTCOME_REACHED_T_MAX:
+            assert rep.t_end == pytest.approx(0.05, rel=1e-12)
+            assert rep.blowup_time_bracket is None
+        elif floor_hit:
+            # from the floor crossing, between samples, to t_max
+            lo, hi = rep.blowup_time_bracket
+            assert 0.0 < lo < hi == rep.t_end == pytest.approx(0.05, rel=1e-12)
+            assert lo not in [s.t for s in rep.series]
+        else:
+            # from the last sample under the ceiling to the one over it
+            assert rep.blowup_time_bracket == (rep.series[-2].t, rep.t_end)
+            assert rep.series[-2].grad_norm <= 4.5 < rep.series[-1].grad_norm
+            assert rep.t_end == pytest.approx(0.02, rel=1e-12)
 
     def test_checkpoints_written(self, tmp_path):
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
