@@ -4,6 +4,13 @@ periodic box.
 Frequencies follow the standard DFT layout for a period-2L box,
 xi_m = pi*m/L. The Nyquist mode is zeroed in first-derivative multipliers
 (odd multiplier has no consistent sign there); |xi|^2 keeps it.
+
+A first-derivative multiplier i xi_j depends on the wavenumber along axis
+j alone, so each gradient component is one forward and one inverse
+transform along its own axis: 2N single-axis passes per gradient. The
+propagator and the Laplacian multiply by |xi|^2, which involves every
+axis, and the gradient norm sums every axis at once; these take full
+N-dimensional transforms.
 """
 
 from __future__ import annotations
@@ -55,10 +62,14 @@ class SpectralPlan:
     # array-level kernels (used by the solver hot loop) -------------------
 
     def gradient_arrays(self, values: np.ndarray) -> list:
-        fhat = _fft.fftn(values)
-        return [
-            _fft.ifftn(1j * xi_d * fhat) for _, xi_d in self._xi_axes
-        ]
+        """[d_j u for each axis j], each from one forward and one inverse
+        transform along axis j alone; values is not modified."""
+        grads = []
+        for axis, (_, xi_d) in enumerate(self._xi_axes):
+            fhat = _fft.fftn(values, axes=(axis,))
+            fhat *= 1j * xi_d
+            grads.append(_fft.ifftn(fhat, axes=(axis,), overwrite_x=True))
+        return grads
 
     def laplacian_array(self, values: np.ndarray) -> np.ndarray:
         return _fft.ifftn(-self.k2 * _fft.fftn(values))

@@ -405,6 +405,8 @@ class TestSweepPlotAudit:
         assert "k must be an integer" in capsys.readouterr().err
         with open(os.path.join(out, "k_6", "manifest.json")) as fh:
             assert '"cutoff_k": 6,' in fh.read()
+        # a rejected value is only a summary row: no directory is left for it
+        assert sorted(os.listdir(out)) == ["k_6", "summary.csv"]
 
     def simulate_with_checkpoints(self, tmp_path, text=MINIMAL):
         cfg_path = tmp_path / "run.cfg"

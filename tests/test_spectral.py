@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import inlslab
@@ -72,10 +73,37 @@ class TestDerivatives:
     def test_nyquist_mode_dropped_in_first_derivative(self):
         grid = Grid(1, np.pi, 16)
         plan = SpectralPlan(grid)
-        # pure Nyquist oscillation: derivative has no consistent sign
-        u = np.cos(8 * grid.axis_coords()) + 0.0j
+        # pure Nyquist oscillation: derivative has no consistent sign. On
+        # the cell centers exp(8ix) is +-i; cos(8x) would sample to zero.
+        u = np.exp(8j * grid.axis_coords())
         (g,) = plan.gradient_arrays(u)
         assert np.max(np.abs(g)) < 1e-12
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_nyquist_mode_dropped_per_axis(self, ndim):
+        grid = Grid(ndim, np.pi, 16)
+        plan = SpectralPlan(grid)
+        xs = grid.coords()
+        for axis in range(ndim):
+            # Nyquist along axis, the first harmonic along the next one
+            other = (axis + 1) % ndim
+            u = np.exp(8j * xs[axis]) * np.exp(1j * xs[other]) + np.zeros(grid.shape)
+            grads = plan.gradient_arrays(u)
+            for j, g in enumerate(grads):
+                expected = 1j * u if j == other else 0.0
+                assert np.max(np.abs(g - expected)) < 1e-12, (axis, j)
+
+    def test_gradient_of_anisotropic_gaussian_3d_closed_form(self):
+        # a different width and center per axis, so a component taken along
+        # the wrong axis fails; decay and resolution are below 1e-15
+        grid = Grid(3, 8.0, 64)
+        plan = SpectralPlan(grid)
+        xs = grid.coords()
+        a, c = (0.7, 0.9, 1.1), (0.3, -0.2, 0.1)
+        u = np.exp(-sum(aj * (x - cj) ** 2 for aj, x, cj in zip(a, xs, c))) + 0.0j
+        grads = plan.gradient_arrays(u)
+        for aj, x, cj, g in zip(a, xs, c, grads):
+            assert np.max(np.abs(g - (-2.0 * aj * (x - cj)) * u)) < 1e-12
 
     def test_radial_derivative_combination(self):
         grid = Grid(2, 8.0, 64)
@@ -84,6 +112,72 @@ class TestDerivatives:
         grads, xdot = plan.radial_derivative_arrays(u)
         rebuilt = sum(x * g for x, g in zip(grid.coords(), grads))
         assert np.allclose(xdot, rebuilt)
+
+
+def full_transform_gradient(grid, u):
+    """d_j u from one full forward and one full inverse transform per
+    component: the formula the per-axis kernel must reproduce."""
+    M = grid.points_per_axis
+    xi_d = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
+    xi_d[M // 2] = 0.0
+    fhat = scipy.fft.fftn(u)
+    grads = []
+    for axis in range(grid.ndim):
+        sh = [1] * grid.ndim
+        sh[axis] = M
+        grads.append(scipy.fft.ifftn(1j * xi_d.reshape(sh) * fhat))
+    return grads
+
+
+GRIDS = st.sampled_from(
+    [Grid(1, 8.0, 64), Grid(1, 3.0, 1024), Grid(2, 8.0, 32), Grid(2, 5.0, 64), Grid(3, 8.0, 16)]
+)
+
+
+class TestGradientKernel:
+    @PROPERTY
+    @given(grid=GRIDS, seed=SEEDS)
+    def test_matches_full_transforms(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        grads = SpectralPlan(grid).gradient_arrays(u)
+        reference = full_transform_gradient(grid, u)
+        if grid.ndim == 1:
+            # the same two transforms and the same multiply
+            assert np.array_equal(grads[0], reference[0])
+        for g, ref in zip(grads, reference):
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ndim, M", [(1, 256), (2, 32), (3, 16)])
+    def test_input_is_left_bit_identical(self, ndim, M):
+        grid = Grid(ndim, 8.0, M)
+        plan = SpectralPlan(grid)
+        rng = np.random.default_rng(ndim)
+        u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        before = u.copy()
+        plan.gradient_arrays(u)
+        assert np.array_equal(u, before)
+        plan.radial_derivative_arrays(u)
+        assert np.array_equal(u, before)
+
+    def test_3d_gradient_takes_one_transform_pair_per_axis(self, monkeypatch):
+        # a full transform per component would be 1 + 3 three-axis calls
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(x, *args, **kwargs):
+                calls.append((name, tuple(kwargs.get("axes") or ())))
+                return fn(x, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(scipy.fft, name, counting(name, getattr(scipy.fft, name)))
+        grid = Grid(3, 8.0, 8)
+        SpectralPlan(grid).gradient_arrays(np.ones(grid.shape, dtype=complex))
+        assert calls == [
+            (name, (axis,)) for axis in range(3) for name in ("fftn", "ifftn")
+        ]
 
 
 class TestFreePropagator:
