@@ -259,11 +259,19 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
     return 1 if failed else 0
 
 
+COLUMN = {name: i for i, name in enumerate(obs.CSV_COLUMNS)}
+
+
 def _read_csv(path):
+    """The rows of a series CSV, whose header must be CSV_COLUMNS."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    return header, np.array(rows).reshape(-1, len(header))
+        if fh.readline().strip().split(",") != obs.CSV_COLUMNS:
+            raise InvariantError(f"{path} does not have the series CSV columns")
+        try:
+            rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
+            return np.array(rows).reshape(-1, len(obs.CSV_COLUMNS))
+        except ValueError as exc:
+            raise InvariantError(f"{path} is not a numeric series CSV: {exc}") from exc
 
 
 def _drifts(mass, energy):
@@ -277,14 +285,13 @@ def plot(run_dir: str) -> int:
         raise FileNotFoundError(f"no series CSVs in {run_dir}")
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     tables = [_read_csv(path) for path in csvs]
-    for path, (_, rows) in zip(csvs, tables):
+    for path, rows in zip(csvs, tables):
         if rows.shape[0] == 0:
             raise InvariantError(f"{path} has no rows to plot")
-    header, rows0 = tables[0]
-    col = {name: i for i, name in enumerate(header)}
-    t = rows0[:, col["t"]]
+    rows0 = tables[0]
+    t = rows0[:, COLUMN["t"]]
 
-    mass_drift, energy_drift = _drifts(rows0[:, col["mass"]], rows0[:, col["energy"]])
+    mass_drift, energy_drift = _drifts(rows0[:, COLUMN["mass"]], rows0[:, COLUMN["energy"]])
     drift_series = [
         ("mass drift", t, mass_drift + 1e-18, colors[0]),
         ("energy drift", t, energy_drift + 1e-18, colors[1]),
@@ -297,16 +304,16 @@ def plot(run_dir: str) -> int:
         logy=True,
     )
 
-    for path, (_, rows) in zip(csvs, tables):
+    for path, rows in zip(csvs, tables):
         tag = os.path.basename(path)[len("series_") : -len(".csv")]
         line_plot(
             os.path.join(run_dir, f"zR_{tag}.svg"),
             [
-                ("z_R", rows[:, col["t"]], rows[:, col["zR"]], colors[0]),
+                ("z_R", rows[:, COLUMN["t"]], rows[:, COLUMN["zR"]], colors[0]),
                 (
                     "second difference",
-                    rows[:, col["t"]],
-                    rows[:, col["zR_second_fd"]],
+                    rows[:, COLUMN["t"]],
+                    rows[:, COLUMN["zR_second_fd"]],
                     colors[1],
                 ),
             ],
@@ -314,7 +321,7 @@ def plot(run_dir: str) -> int:
         )
     line_plot(
         os.path.join(run_dir, "gradnorm.svg"),
-        [("grad norm", t, rows0[:, col["grad_norm"]], colors[0])],
+        [("grad norm", t, rows0[:, COLUMN["grad_norm"]], colors[0])],
         title="H1 seminorm",
         ylabel="|grad u|_2",
         logy=True,
@@ -327,19 +334,20 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
     stored CSV rows at matching times, in every column one checkpoint
     reproduces (all but dt and zR_second_fd). Fails when nothing was checked
     or when a checkpoint has no row at its time (unmatched, per radius)."""
-    with open(os.path.join(run_dir, "manifest.json")) as fh:
-        man = json.load(fh)
-    if "cutoff_k" not in man or "cutoff_R" not in man:
-        raise InvariantError(f"manifest in {run_dir} has no cutoff_k/cutoff_R; rerun simulate")
+    path = os.path.join(run_dir, "manifest.json")
+    with open(path) as fh:
+        try:
+            man = json.load(fh)
+        except ValueError as exc:
+            raise InvariantError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(man, dict) or "cutoff_k" not in man or "cutoff_R" not in man:
+        raise InvariantError(f"{path} has no cutoff_k/cutoff_R; rerun simulate")
     k, R_values = man["cutoff_k"], man["cutoff_R"]
     ckpts = sorted(glob.glob(os.path.join(run_dir, "checkpoints", "ckpt_*.bin")))
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints in {run_dir}")
 
-    csv_data = {}
-    for R in R_values:
-        header, rows = _read_csv(os.path.join(run_dir, f"series_R{R:g}.csv"))
-        csv_data[R] = (dict((n, i) for i, n in enumerate(header)), rows)
+    csv_rows = {R: _read_csv(os.path.join(run_dir, f"series_R{R:g}.csv")) for R in R_values}
     audited = [c for c in obs.CSV_COLUMNS if c not in ("dt", "zR_second_fd")]
 
     checked = unmatched = 0
@@ -353,15 +361,15 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
             pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in R_values}
         s = obs.sample(plan, f, gw, pgs, t, float("nan"))
         for R in R_values:
-            col, rows = csv_data[R]
-            match = np.where(np.abs(rows[:, col["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
+            rows = csv_rows[R]
+            match = np.where(np.abs(rows[:, COLUMN["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
             if match.size == 0:
                 unmatched += 1
                 continue
             stored = rows[match[0]]
             recomputed = s.row(R, float("nan"))
             for name in audited:
-                val, ref = recomputed[name], stored[col[name]]
+                val, ref = recomputed[name], stored[COLUMN[name]]
                 if np.isnan(val) and np.isnan(ref):
                     continue
                 err = abs(val - ref) / max(1.0, abs(ref))
@@ -377,7 +385,7 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="inlslab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -400,7 +408,6 @@ def main(argv=None) -> int:
     p_cut.add_argument("--k", type=int, default=None)
     p_cut.add_argument("--R", type=float, default=1.0)
     p_cut.add_argument("--samples", type=int, default=10**5)
-    p_cut.add_argument("--c", type=float, default=1.0)
 
     p_ineq = sub.add_parser("interp-check", help="estimate an inequality constant")
     p_ineq.add_argument("--which", required=True, choices=WHICH)
@@ -408,13 +415,14 @@ def main(argv=None) -> int:
     p_ineq.add_argument("--b", type=float, required=True)
     p_ineq.add_argument("--trials", type=int, default=100)
     p_ineq.add_argument("--seed", type=int, default=0)
-    p_ineq.add_argument("--L", type=float, default=12.0)
-    p_ineq.add_argument("--M", type=int, default=None)
 
     p_audit = sub.add_parser("virial-audit", help="recompute diagnostics from checkpoints")
     p_audit.add_argument("run_dir")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     try:
         if args.command in ("simulate", "sweep"):
@@ -436,7 +444,7 @@ def main(argv=None) -> int:
             profile = build_cutoff(k, args.R, params)
             cond = verify_phicond(profile, args.samples)
             gwb = grad_weight_bound(profile, args.samples)
-            eps = find_epsilon(profile, args.c, args.samples)
+            eps = find_epsilon(profile, 1.0, args.samples)
             report = {
                 "N": args.N,
                 "b": args.b,
@@ -454,9 +462,9 @@ def main(argv=None) -> int:
 
         if args.command == "interp-check":
             params = ProblemParams(args.N, args.b)
-            M = args.M if args.M is not None else {1: 1024, 2: 128, 3: 48}[args.N]
-            grid = Grid(args.N, args.L, M)
-            case = IneqCase(args.which, params, grid, RadialWeight("gaussian_bump", args.L / 4))
+            # the box [-12, 12)^N, and a weight of scale a quarter of its half-width
+            grid = Grid(args.N, 12.0, {1: 1024, 2: 128, 3: 48}[args.N])
+            case = IneqCase(args.which, params, grid, RadialWeight("gaussian_bump", 3.0))
             est = estimate_constant(case, args.trials, args.seed)
             hist, edges = np.histogram(est.ratios, bins=20)
             print(

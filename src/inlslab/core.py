@@ -2,7 +2,8 @@
 
 The spatial domain is the periodic box [-L, L)^N sampled cell-centered so
 that no grid point sits at the origin (the potential |x|^{-b} is evaluated
-pointwise).
+pointwise). Every rejected value, a non-finite field and a corrupt
+checkpoint included, raises InvariantError.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ BOUNDARY_DECAY_TOL = 1e-12
 
 
 class InvariantError(ValueError):
-    """A domain-type invariant was violated."""
-
-
-class NonFiniteFieldError(FloatingPointError):
-    """NaN or Inf appeared in field samples (blow-up/overflow signal)."""
+    """A domain-type invariant was violated: a bad parameter, a field that
+    is not finite or does not fit its grid, or a corrupt input file."""
 
 
 class BoundaryDecayWarning(UserWarning):
@@ -117,13 +115,15 @@ class Field:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
+        if self.params.ndim != self.grid.ndim:
+            raise InvariantError(f"N={self.params.ndim} params on an N={self.grid.ndim} grid")
         v = np.asarray(self.values, dtype=complex)
         if v.shape != self.grid.shape:
             raise InvariantError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(v.view(float))):
-            raise NonFiniteFieldError("field contains NaN or Inf samples")
+            raise InvariantError("field contains NaN or Inf samples")
         object.__setattr__(self, "values", v)
 
 
@@ -157,7 +157,9 @@ class InitialData:
             raise InvariantError("from_checkpoint requires checkpoint_path")
 
 
-def _gaussian(grid: Grid, amplitude: float, width: float, center) -> np.ndarray:
+def gaussian(grid: Grid, amplitude: float, width: float, center) -> np.ndarray:
+    """amplitude exp(-|x - center|^2 / (2 width^2)) on the grid, complex;
+    center is padded with zeros (or cut) to the grid's dimension."""
     c = np.zeros(grid.ndim)
     c[: len(np.atleast_1d(center))] = np.atleast_1d(center)[: grid.ndim]
     r2 = sum((xj - cj) ** 2 for xj, cj in zip(grid.coords(), c))
@@ -189,9 +191,9 @@ def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
             raise InvariantError("checkpoint metadata does not match requested params/grid")
         return f
 
-    u = _gaussian(grid, init.amplitude, init.width, init.center)
+    u = gaussian(grid, init.amplitude, init.width, init.center)
     if init.kind == "sum_of_gaussians":
-        u = u + _gaussian(grid, init.amplitude2, init.width2, init.center2)
+        u = u + gaussian(grid, init.amplitude2, init.width2, init.center2)
 
     decay = boundary_decay(u)
     if decay > BOUNDARY_DECAY_TOL:
@@ -234,8 +236,9 @@ def read_checkpoint(path):
     """Returns (Field, t).
 
     Raises InvariantError unless the file is exactly one checkpoint: a bad
-    magic (an older version included), a short header and a size other than
-    the header's grid implies are all rejected.
+    magic (an older version included), a short header, a size other than
+    the header's grid implies and a header or payload no Field takes (a NaN
+    sample, say) are all rejected.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -252,5 +255,8 @@ def read_checkpoint(path):
     if len(data) != expected:
         raise InvariantError(f"checkpoint {path} is {len(data)} bytes, expected {expected}")
     values = np.frombuffer(data, dtype="<c16", offset=48 + 8 * ndim).astype(complex)
-    grid = Grid(ndim, half_width, ms[0])
-    return Field(ProblemParams(ndim, b), grid, values.reshape(grid.shape)), t
+    try:
+        grid = Grid(ndim, half_width, ms[0])
+        return Field(ProblemParams(ndim, b), grid, values.reshape(grid.shape)), t
+    except InvariantError as exc:
+        raise InvariantError(f"checkpoint {path}: {exc}") from exc

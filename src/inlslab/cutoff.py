@@ -315,16 +315,16 @@ class CutoffProfile:
         return out
 
 
-def build_cutoff(k: int, R: float, params: ProblemParams, validate_k: bool = True) -> CutoffProfile:
-    """Construct and certify the profile. validate_k=False skips the strict
-    k bounds (used to exercise the unbounded-ratio error path)."""
+def build_cutoff(k: int, R: float, params: ProblemParams) -> CutoffProfile:
+    """Construct the profile for an integer k >= 2 that meets the strict
+    bounds of check_k for (N, b), and R > 0; raises ConstraintError (k) or
+    InvariantError (R) otherwise."""
     if not float(k).is_integer() or k < 2:
         raise ConstraintError(f"k must be an integer >= 2, got {k}")
     k = int(k)
     if R <= 0:
         raise InvariantError(f"R must be positive, got {R}")
-    if validate_k:
-        check_k(k, params)
+    check_k(k, params)
     a, bridge = _build_bridge(k)
     return CutoffProfile(k=k, R=float(R), params=params, r_star=a, bridge=bridge)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import fft as _fft
 
-from .core import Field, Grid, InvariantError, ProblemParams
+from .core import Field, Grid, InvariantError, ProblemParams, gaussian
 from .cutoff import CutoffProfile, weight_exponent
 from .spectral import SpectralPlan
 
@@ -83,6 +83,8 @@ class IneqCase:
             raise InvariantError("interp2 requires N=2")
         if self.which == "otn1" and self.params.ndim != 1:
             raise InvariantError("otn1 requires N=1")
+        if self.params.ndim != self.grid.ndim:
+            raise InvariantError(f"N={self.params.ndim} params on an N={self.grid.ndim} grid")
         built = dict(plan=SpectralPlan(self.grid), w=None, dpow2=None, w2e=None, w_half_e=None)
         if self.which != "gn":
             r = self.grid.radii()
@@ -144,10 +146,8 @@ def lhs_rhs(case: IneqCase, f: Field) -> tuple:
 
 
 def _gaussian_member(grid: Grid, scale: float, shift: float, mod: float) -> np.ndarray:
-    xs = grid.coords()
-    r2 = (xs[0] - shift) ** 2 + sum(x**2 for x in xs[1:])
-    u = np.exp(-r2 / (2.0 * scale**2)) * np.exp(1j * mod * xs[0])
-    return u + np.zeros(grid.shape, dtype=complex)
+    """A unit Gaussian shifted along the first axis, modulated along it."""
+    return gaussian(grid, 1.0, scale, (shift,)) * np.exp(1j * mod * grid.coords()[0])
 
 
 def _bandlimited_member(grid: Grid, rng) -> np.ndarray:
@@ -222,26 +222,3 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     if best[0] == 0.0:
         raise InvariantError("degenerate family: every RHS vanished")
     return ConstantEstimate(c_hat=best[0], argmax=best[1], ratios=np.array(ratios))
-
-
-def power_gap_demo(b_values=None, dims=(1, 2, 3)) -> list:
-    """Weight-power comparison: 1/(2-b) (always > 1/2) against the
-    1/((4-2b)/N + 2) power the classical route would give."""
-    if b_values is None:
-        b_values = [0.25 * i for i in range(1, 8)]
-    rows = []
-    for N in dims:
-        for b in b_values:
-            strong = 1.0 / (2.0 - b)
-            weak = 1.0 / ((4.0 - 2.0 * b) / N + 2.0)
-            rows.append(
-                {
-                    "N": N,
-                    "b": b,
-                    "interp_power": strong,
-                    "classical_power": weak,
-                    "gap": bool(weak <= 0.5 < strong),
-                }
-            )
-    return rows
-

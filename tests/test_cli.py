@@ -1,16 +1,21 @@
 """Config parsing, orchestration subcommands, and emitted artifacts."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inlslab import observables
 from inlslab.cli import (
     CONFIG_KEYS,
     ConfigError,
+    build_parser,
     main,
     parse_config,
     virial_audit,
@@ -229,6 +234,19 @@ class TestParseConfig:
             parse_config(text)
         assert exc.value.violations == [violation]
 
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            ("[problem\nN = 1\n", "syntax: "),
+            (MINIMAL.replace("R = 2,4", "R = 0,4"), "[cutoff] R values must be positive"),
+        ],
+        ids=["syntax", "R-not-positive"],
+    )
+    def test_rejected_texts(self, text, violation):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.violations[0].startswith(violation)
+
     def test_checkpoint_stride_zero_is_an_error(self):
         text = MINIMAL.replace("sample_stride = 5\n", "sample_stride = 5\ncheckpoint_stride = 0\n")
         with pytest.raises(ConfigError, match="checkpoint_stride must be >= 1"):
@@ -332,6 +350,26 @@ class TestSimulate:
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path, MINIMAL.replace("b = 0.5", "b = 2.5"))
         assert main(["simulate", "--config", cfg_path]) == 1
+
+    def test_mass_drift_is_an_instability(self, tmp_path, monkeypatch):
+        # every sample after the first reports 1e-5 more mass than it has
+        real = observables.sample
+
+        def inflating(plan, f, gw, pgs, t, dt):
+            s = real(plan, f, gw, pgs, t, dt)
+            if t > 0:
+                mass = s.conservation.mass * (1.0 + 1e-5)
+                s.conservation = dataclasses.replace(s.conservation, mass=mass)
+            return s
+
+        monkeypatch.setattr(observables, "sample", inflating)
+        cfg_path = self.write_cfg(tmp_path, extra="\n[emit]\ncheckpoints = true\n")
+        out = tmp_path / "drift"
+        assert main(["simulate", "--config", cfg_path, "--out-dir", str(out)]) == 20
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outcome"] == "instability_detected"
+        assert man["t_end"] == pytest.approx(5e-3, rel=1e-12)  # the first sample after t = 0
+        assert os.listdir(out / "checkpoints") == ["ckpt_000000000.bin"]
 
     def test_checkpoints_emitted_when_requested(self, tmp_path):
         extra = "\n[emit]\ncheckpoints = true\nout_dir = %s\n" % (tmp_path / "ck")
@@ -475,6 +513,57 @@ class TestSweepPlotAudit:
         assert main(["virial-audit", out]) == 1
         assert "bad checkpoint magic" in capsys.readouterr().err
 
+    def test_audit_without_checkpoints_is_a_clean_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", out]) == 0
+        assert main(["virial-audit", out]) == 1
+        assert "no checkpoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, corrupt",
+        [
+            ("plot", "csv_cell"),
+            ("virial-audit", "csv_cell"),
+            ("plot", "csv_header"),
+            ("virial-audit", "csv_header"),
+            ("virial-audit", "manifest"),
+            ("virial-audit", "manifest_not_object"),
+            ("virial-audit", "nan_checkpoint"),
+            ("simulate", "nan_checkpoint"),
+        ],
+    )
+    def test_corrupt_run_file_is_a_clean_error(self, tmp_path, capsys, command, corrupt):
+        out = self.simulate_with_checkpoints(tmp_path)
+        if corrupt.startswith("csv"):
+            path = os.path.join(out, "series_R4.csv")
+            with open(path) as fh:
+                lines = fh.readlines()
+            # the time of the second row, or the name of the time column
+            i = 2 if corrupt == "csv_cell" else 0
+            lines[i] = "x" + lines[i]
+            with open(path, "w") as fh:
+                fh.writelines(lines)
+        elif corrupt.startswith("manifest"):
+            path = os.path.join(out, "manifest.json")
+            with open(path, "w") as fh:
+                fh.write('{"cutoff_k": 5,' if corrupt == "manifest" else "5")
+        else:
+            path = os.path.join(out, "checkpoints", "ckpt_final.bin")
+            with open(path, "r+b") as fh:
+                fh.seek(-8, os.SEEK_END)
+                fh.write(struct.pack("<d", float("nan")))
+        argv = [command, out]
+        if command == "simulate":
+            # a restart from the corrupt checkpoint
+            cfg_path = tmp_path / "restart.cfg"
+            restart = f"kind = from_checkpoint\ncheckpoint = {path}"
+            cfg_path.write_text(MINIMAL.replace("kind = gaussian", restart))
+            argv = ["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "restart")]
+        assert main(argv) == 1
+        assert path in capsys.readouterr().err
+
     def test_plot_emits_svg(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL)
@@ -551,10 +640,24 @@ class TestToolSubcommands:
 
     def test_interp_check(self, capsys):
         code = main(
-            ["interp-check", "--which", "gn", "--N", "1", "--b", "0.5", "--trials", "10",
-             "--M", "256"]
+            ["interp-check", "--which", "gn", "--N", "1", "--b", "0.5", "--trials", "10"]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["c_hat"] > 0
         assert "not a proof" in report["note"]
+
+
+def test_readme_lists_every_flag_of_every_subcommand():
+    # each "### <subcommand>" section of the README names exactly the
+    # flags its parser takes
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    sections = dict(re.findall(r"^### (\S+)\n(.*?)(?=^##)", readme, flags=re.M | re.S))
+    actions = build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) <= set(sections)
+    for name, parser in subparsers.choices.items():
+        flags = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", sections[name]))
+        assert listed == flags, name

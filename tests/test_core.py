@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from inlslab.core import (
+    CHECKPOINT_MAGIC,
     BoundaryDecayWarning,
     Field,
     Grid,
     InitialData,
     InvariantError,
-    NonFiniteFieldError,
     ProblemParams,
     read_checkpoint,
     realize,
@@ -78,6 +78,19 @@ class TestGrid:
         with pytest.raises(InvariantError):
             Grid(1, 1.0, M)
 
+    @pytest.mark.parametrize(
+        "ndim, half_width, message",
+        [
+            (0, 1.0, "grid dimension"),
+            (4, 1.0, "grid dimension"),
+            (1, 0.0, "half_width"),
+            (2, -1.0, "half_width"),
+        ],
+    )
+    def test_rejects_bad_dimension_or_half_width(self, ndim, half_width, message):
+        with pytest.raises(InvariantError, match=message):
+            Grid(ndim, half_width, 8)
+
 
 class TestField:
     def test_shape_mismatch_rejected(self):
@@ -89,8 +102,15 @@ class TestField:
         p = ProblemParams(1, 0.5)
         vals = np.zeros(8, dtype=complex)
         vals[3] = np.nan
-        with pytest.raises(NonFiniteFieldError):
+        with pytest.raises(InvariantError, match="NaN or Inf"):
             Field(p, Grid(1, 1.0, 8), vals)
+
+    @pytest.mark.parametrize("params_ndim, grid_ndim", [(2, 1), (1, 3)])
+    def test_dimension_mismatch_rejected(self, params_ndim, grid_ndim):
+        # the N=2 exponents on a 1D grid would run without complaint
+        grid = Grid(grid_ndim, 4.0, 8)
+        with pytest.raises(InvariantError, match=f"on an N={grid_ndim} grid"):
+            Field(ProblemParams(params_ndim, 1.0), grid, np.ones(grid.shape, dtype=complex))
 
 
 class TestInitialData:
@@ -156,6 +176,22 @@ class TestInitialData:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvariantError):
             InitialData(kind="ring")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"amplitude": float("nan")}, "amplitude must be finite"),
+            ({"amplitude": float("inf")}, "amplitude must be finite"),
+            ({"width": 0.0}, "widths must be positive"),
+            ({"width2": -1.0}, "widths must be positive"),
+            ({"kind": "from_checkpoint"}, "requires checkpoint_path"),
+        ],
+        ids=["nan-amplitude", "inf-amplitude", "zero-width", "negative-width2",
+             "checkpoint-without-path"],
+    )
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(InvariantError, match=message):
+            InitialData(**kwargs)
 
 
 class TestCheckpoints:
@@ -271,6 +307,25 @@ class TestCheckpoints:
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(InvariantError):
             read_checkpoint(str(path))
+
+    def test_disagreeing_point_counts_rejected(self, tmp_path):
+        # a 2D header with 8 and 2 points per axis, where a grid has one count
+        header = struct.pack("<3q3d", 2, 8, 2, 1.0, 0.5, 0.0)
+        path = tmp_path / "skew.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + header + np.ones(16, dtype="<c16").tobytes())
+        with pytest.raises(InvariantError, match="must be positive and agree"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        f = Field(ProblemParams(1, 0.5), Grid(1, 1.0, 16), np.ones(16, dtype=complex))
+        path = tmp_path / "nan.bin"
+        write_checkpoint(path, f)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", bad)  # the imaginary part of the last sample
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvariantError, match=r"nan\.bin: field contains NaN or Inf"):
+            read_checkpoint(path)
 
     def test_from_checkpoint_initial_data(self, tmp_path):
         params = ProblemParams(1, 0.5)

@@ -35,9 +35,9 @@ class TestProfileShape:
         for k in (3, 4, 7):
             assert r_star(k) == pytest.approx(1.0 + (1.0 / k) ** (1.0 / (k - 1)))
 
-    def test_v_piecewise_values_k2(self):
+    def test_v_piecewise_values_k2(self, unchecked_cutoff):
         p = ProblemParams(2, 1.5)  # k=2 is admissible here
-        prof = build_cutoff(2, 1.0, p, validate_k=False)
+        prof = unchecked_cutoff(2, 1.0, p)
         assert prof.v(np.array([1.0]))[0] == pytest.approx(2.0)
         assert prof.v(np.array([1.5]))[0] == pytest.approx(2.5)
         assert prof.v(np.array([3.0]))[0] == 0.0
@@ -48,9 +48,9 @@ class TestProfileShape:
         assert np.allclose(prof.v(rho), 2.0 * rho)
         assert np.all(prof.v(np.linspace(2.0, 5.0, 50)) == 0.0)
 
-    def test_bridge_strictly_decreasing(self):
+    def test_bridge_strictly_decreasing(self, unchecked_cutoff):
         for k in (2, 3, 4, 5, 9, 41, 401, 4001):
-            prof = build_cutoff(k, 1.0, P1, validate_k=False)
+            prof = unchecked_cutoff(k, 1.0, P1)
             rho = np.linspace(prof.r_star, 2.0, 10**4 + 2)[1:-1]
             v1 = prof.v_derivs(rho)[1]
             assert np.all(v1 < 0.0)
@@ -62,10 +62,10 @@ class TestProfileShape:
         assert build_cutoff(6, 1.0, P1).bridge is not prof.bridge
 
     @pytest.mark.parametrize("k", [3, 5, 9])
-    def test_v_smooth_at_joints(self, k):
+    def test_v_smooth_at_joints(self, k, unchecked_cutoff):
         # both branches are closed forms: v through its third derivative
         # must agree across r_star, and v must vanish smoothly at 2
-        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+        prof = unchecked_cutoff(k, 1.0, P1)
         eps = 1e-12
         below = [val[0] for val in prof.v_derivs(np.array([prof.r_star - eps]))]
         above = [val[0] for val in prof.v_derivs(np.array([prof.r_star + eps]))]
@@ -75,10 +75,10 @@ class TestProfileShape:
         for val in at_two:
             assert abs(val) < 1e-8
 
-    def test_derivative_caps(self):
+    def test_derivative_caps(self, unchecked_cutoff):
         # dphi_R <= 2r and d2phi_R <= 2 everywhere, densely sampled
         for k in (3, 5):
-            prof = build_cutoff(k, 2.5, P1, validate_k=False)
+            prof = unchecked_cutoff(k, 2.5, P1)
             r = np.linspace(1e-3, 12.0, 20001)
             assert np.all(prof.dphi_R(r) <= 2.0 * r + 1e-12)
             assert np.all(prof.d2phi_R(r) <= 2.0 + 1e-12)
@@ -111,10 +111,10 @@ def _left_derivatives(k, a):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 41, 401, 4001])
 class TestBridgeKernel:
-    def test_matches_bpoly(self, k):
+    def test_matches_bpoly(self, k, unchecked_cutoff):
         # the closed-form Bernstein coefficients and their cached
         # derivatives and antiderivative against scipy's construction
-        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+        prof = unchecked_cutoff(k, 1.0, P1)
         a = prof.r_star
         ref = BPoly.from_derivatives([a, 2.0], [_left_derivatives(k, a), [0.0] * 6])
         x = np.linspace(a, 2.0, 20001)
@@ -123,15 +123,15 @@ class TestBridgeKernel:
         for order, g, w in zip((0, 1, 2, 3, ANTIDERIVATIVE), got, want):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), order
 
-    def test_v_derivs_match_left_data_at_r_star(self, k):
-        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+    def test_v_derivs_match_left_data_at_r_star(self, k, unchecked_cutoff):
+        prof = unchecked_cutoff(k, 1.0, P1)
         # one ulp right of r_star, so the bridge branch answers
         rho = np.array([np.nextafter(prof.r_star, 2.0)])
         for got, want in zip(prof.v_derivs(rho), _left_derivatives(k, prof.r_star)):
             assert abs(got[0] - want) <= 1e-10 * max(abs(want), 1.0)
 
-    def test_vanishes_to_fifth_order_at_two(self, k):
-        prof = build_cutoff(k, 1.0, P1, validate_k=False)
+    def test_vanishes_to_fifth_order_at_two(self, k, unchecked_cutoff):
+        prof = unchecked_cutoff(k, 1.0, P1)
         assert all(val[0] == 0.0 for val in prof.bridge(np.array([2.0]), (0, 1, 2, 3)))
         # v(2 - delta) ~ C delta^6 with C > 0, kept to relative accuracy
         h = 2.0 - prof.r_star
@@ -161,10 +161,17 @@ class TestKRule:
             check_k(4, ProblemParams(2, 1.0))  # k = 4/b exactly
 
     def test_build_rejects_non_integer_or_small_k(self):
-        with pytest.raises(ConstraintError):
-            build_cutoff(2.5, 1.0, P1, validate_k=False)
-        with pytest.raises(ConstraintError):
-            build_cutoff(1, 1.0, P1, validate_k=False)
+        # 2.5 and 1 are also under check_k's bounds: the integer check fires first
+        with pytest.raises(ConstraintError, match=r"^k must be an integer >= 2, got 2\.5$"):
+            build_cutoff(2.5, 1.0, P1)
+        with pytest.raises(ConstraintError, match=r"^k must be an integer >= 2, got 1$"):
+            build_cutoff(1, 1.0, P1)
+
+    def test_build_rejects_k_under_the_bounds(self, unchecked_cutoff):
+        with pytest.raises(ConstraintError, match="strictly greater than 4"):
+            build_cutoff(4, 1.0, P1)
+        # past the bounds the tests' unchecked profile is the built one
+        assert unchecked_cutoff(5, 2.0, P1) == build_cutoff(5, 2.0, P1)
 
     def test_build_rejects_bad_R(self):
         with pytest.raises(InvariantError):
@@ -177,10 +184,10 @@ class TestPhicond:
         r = np.linspace(0.01, 1.0, 200)
         assert np.all(prof.phicond_expr(r) == 0.0)
 
-    def test_middle_region_closed_form(self):
+    def test_middle_region_closed_form(self, unchecked_cutoff):
         # dphi_R - r d2phi_R = 2R d^(k-1) (k rho - d) with d = rho - 1
         k, R = 4, 2.5
-        prof = build_cutoff(k, R, P1, validate_k=False)
+        prof = unchecked_cutoff(k, R, P1)
         rho = np.linspace(1.0 + 1e-6, prof.r_star, 50)
         d = rho - 1.0
         expect = R * 2.0 * d ** (k - 1) * (k * rho - d)
@@ -189,8 +196,8 @@ class TestPhicond:
         assert np.all(got > 0.0)
 
     @pytest.mark.parametrize("R", [1.0, 2.5])
-    def test_verify_phicond_passes(self, R):
-        prof = build_cutoff(4, R, P1, validate_k=False)
+    def test_verify_phicond_passes(self, R, unchecked_cutoff):
+        prof = unchecked_cutoff(4, R, P1)
         rep = verify_phicond(prof, 10**4)
         assert rep["passed"]
         assert rep["min"] >= -1e-12
@@ -226,10 +233,10 @@ class TestWeights:
             assert np.all(prof.phi1(r) >= 0.0)
             assert np.all(prof.phi2(r) >= -1e-15)
 
-    def test_region_forms_match_definitions(self):
+    def test_region_forms_match_definitions(self, unchecked_cutoff):
         # Phi_1 = 4(2 - dphi_R/r), Phi_2 from the derivative combination
         p = ProblemParams(1, 0.5)
-        prof = build_cutoff(4, 1.0, p, validate_k=False)
+        prof = unchecked_cutoff(4, 1.0, p)
         r = np.linspace(1.05, 3.5, 400)
         phi1_direct = 4.0 * (2.0 - prof.dphi_R_over_r(r))
         assert np.max(np.abs(prof.phi1(r) - phi1_direct)) < 1e-10
@@ -289,9 +296,9 @@ class TestEpsilon:
         "N,b,kbad",
         [(1, 0.5, 3), (3, 0.5, 3), (2, 0.5, 7), (2, 1.0, 3), (2, 1.5, 2)],
     )
-    def test_unbounded_ratio_detected_for_small_k(self, N, b, kbad):
+    def test_unbounded_ratio_detected_for_small_k(self, N, b, kbad, unchecked_cutoff):
         p = ProblemParams(N, b)
-        prof = build_cutoff(kbad, 1.0, p, validate_k=False)
+        prof = unchecked_cutoff(kbad, 1.0, p)
         with pytest.raises(UnboundedRatioError):
             find_epsilon(prof, 1.0, 10**4)
 

@@ -10,7 +10,6 @@ from inlslab.inequalities import (
     RadialWeight,
     estimate_constant,
     lhs_rhs,
-    power_gap_demo,
 )
 
 P1 = ProblemParams(1, 0.5)
@@ -66,6 +65,12 @@ class TestCaseValidation:
     def test_interp1_rejects_dimension_two(self):
         with pytest.raises(InvariantError):
             IneqCase("interp1", ProblemParams(2, 0.5), Grid(2, 8.0, 32))
+
+    @pytest.mark.parametrize("which", ["interp1", "gn"])
+    def test_dimension_mismatch_rejected(self, which):
+        # N=1 params on a 2D grid would integrate the N=1 exponents in 2D
+        with pytest.raises(InvariantError, match="on an N=2 grid"):
+            IneqCase(which, P1, Grid(2, 8.0, 32))
 
     def test_unknown_inequality_rejected(self):
         with pytest.raises(InvariantError):
@@ -154,19 +159,3 @@ class TestEstimateConstant:
             u = gaussian(GRID1, scale=1.0, shift=float(c))
             lhs, rhs = lhs_rhs(self.CASE, Field(P1, GRID1, u))
             assert lhs / rhs <= cap
-
-
-class TestPowerGap:
-    def test_n1_b1_row(self):
-        rows = power_gap_demo(b_values=[1.0], dims=(1,))
-        assert rows[0]["interp_power"] == 1.0
-        assert rows[0]["classical_power"] == 0.25
-        assert rows[0]["gap"] is True
-
-    def test_interp_power_always_exceeds_half(self):
-        for row in power_gap_demo():
-            assert row["interp_power"] > 0.5
-
-    def test_n3_b_half_classical_power(self):
-        rows = power_gap_demo(b_values=[0.5], dims=(3,))
-        assert rows[0]["classical_power"] == pytest.approx(1.0 / 3.0)

@@ -377,6 +377,27 @@ class TestRun:
             f = strang_step(PLAN, f, dt0)
         assert np.max(np.abs(stepped.values - f.values)) <= 1e-13
 
+    def test_final_checkpoint_matches_reference_strang_steps(self, tmp_path):
+        # twenty steps of dt0 = 2^-10, so the times sum exactly; a sample
+        # every third step flushes the merged half-steps six times on the way
+        steps, dt0 = 20, 2.0**-10
+        init = InitialData(kind="gaussian", amplitude=0.5, width=1.0, center=(0.7,))
+        cfg = self.cfg(dt0=dt0, t_max=steps * dt0, c_cfl=1e3, sample_stride=3)
+        rep = run(init, PARAMS, GRID, cfg, PROFILES, checkpoint_dir=str(tmp_path))
+        assert rep.steps == steps and rep.t_end == steps * dt0
+        assert all(s.dt == dt0 for s in rep.series)  # the CFL bound never bound
+        stepped, _ = read_checkpoint(tmp_path / "ckpt_final.bin")
+        f = realize(init, PARAMS, GRID)
+        for _ in range(steps):
+            f = strang_step(PLAN, f, dt0)
+        assert np.max(np.abs(stepped.values - f.values)) <= 1e-13
+
+    def test_dimension_mismatch_is_rejected(self):
+        # N=2 exponents on a 1D grid once ran to t_max
+        init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
+        with pytest.raises(InvariantError, match="on an N=1 grid"):
+            run(init, ProblemParams(2, 1.0), GRID, self.cfg(), PROFILES)
+
     def test_roundoff_short_end_is_sampled(self, tmp_path):
         # ten steps of 0.1 sum to 0.9999999999999999, so the run ends on the
         # guard against a roundoff-sized step rather than at t_max; step 10
