@@ -4,9 +4,10 @@ Config files are configparser text with sections problem, grid, init,
 solver, cutoff, emit; CONFIG_KEYS maps each key to the dataclass field it
 sets. Unknown keys are errors; validation collects every violation.
 
-Exit codes: 0 reached_t_max, 10 blowup_detected (a successful
-demonstration), 20 instability, 1 config or input error (or a failed
-sweep value), 2 a failed check (virial-audit, cutoff-verify).
+Exit codes: 0 reached_t_max (a dt-floor crossing included), 10
+blowup_detected (a sample over a ceiling: a successful demonstration), 20
+instability, 1 config or input error (or a failed sweep value), 2 a failed
+check (virial-audit, cutoff-verify).
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .spectral import SpectralPlan
 from .svgplot import line_plot
 
 EXIT_CODES = {OUTCOME_REACHED_T_MAX: 0, OUTCOME_BLOWUP: 10, OUTCOME_INSTABILITY: 20}
+
+AUDIT_REL_TOL = 1e-12  # largest relative error virial_audit accepts in a column
 
 
 class ConfigError(ValueError):
@@ -148,8 +151,8 @@ def parse_config(text: str) -> ExperimentConfig:
             check_k(cfg.cutoff_k, params)
         except ConstraintError as exc:
             errs.append(f"[cutoff] {exc}")
-    if any(r <= 0 for r in cfg.cutoff_R):
-        errs.append("[cutoff] R values must be positive")
+    if not all(0.0 < r < np.inf for r in cfg.cutoff_R):
+        errs.append("[cutoff] R values must be positive and finite")
     if list(cfg.cutoff_R) != sorted(cfg.cutoff_R):
         errs.append("[cutoff] R values must be sorted ascending")
     if cfg.emit_svg and not cfg.emit_csv:
@@ -329,7 +332,7 @@ def plot(run_dir: str) -> int:
     return 0
 
 
-def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
+def virial_audit(run_dir: str) -> dict:
     """Recompute diagnostics from stored checkpoints and cross-check the
     stored CSV rows at matching times, in every column one checkpoint
     reproduces (all but dt and zR_second_fd). Fails when nothing was checked
@@ -376,7 +379,7 @@ def virial_audit(run_dir: str, rel_tol: float = 1e-12) -> dict:
                 # NaN on one side only is a mismatch
                 max_err = max(max_err, np.inf if np.isnan(err) else err)
             checked += 1
-    passed = checked > 0 and unmatched == 0 and max_err <= rel_tol
+    passed = checked > 0 and unmatched == 0 and max_err <= AUDIT_REL_TOL
     return {"checked": checked, "unmatched": unmatched, "max_rel_err": max_err, "passed": passed}
 
 
@@ -432,7 +435,10 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, out_dir=args.out_dir)
             if args.command == "simulate":
                 return simulate(cfg)
-            values = [float(s) for s in args.values.split(",")]
+            try:
+                values = _parse_floats(args.values)
+            except ValueError as exc:
+                raise InvariantError(f"--values: {exc}") from exc
             return sweep(cfg, args.axis, values)
 
         if args.command == "plot":

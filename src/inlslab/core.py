@@ -69,8 +69,8 @@ class Grid:
     def __post_init__(self):
         if self.ndim not in (1, 2, 3):
             raise InvariantError(f"grid dimension must be 1, 2 or 3, got {self.ndim}")
-        if self.half_width <= 0:
-            raise InvariantError("half_width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise InvariantError("half_width must be positive and finite")
         M = self.points_per_axis
         if M <= 0 or M % 2 != 0:
             raise InvariantError(f"points_per_axis must be positive and even, got {M}")
@@ -149,10 +149,11 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvariantError(f"unknown initial-data kind {self.kind!r}")
-        if not np.isfinite(self.amplitude):
-            raise InvariantError("amplitude must be finite")
-        if self.width <= 0 or self.width2 <= 0:
-            raise InvariantError("widths must be positive")
+        for name in ("amplitude", "amplitude2", "center", "center2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvariantError(f"{name} must be finite")
+        if not all(0.0 < w < np.inf for w in (self.width, self.width2)):
+            raise InvariantError("widths must be positive and finite")
         if self.kind == "from_checkpoint" and not self.checkpoint_path:
             raise InvariantError("from_checkpoint requires checkpoint_path")
 
@@ -172,13 +173,7 @@ def boundary_decay(u: np.ndarray) -> float:
     peak = np.max(np.abs(u))
     if not peak > 0:
         return 0.0
-    edge = 0.0
-    for axis in range(u.ndim):
-        sl0 = [slice(None)] * u.ndim
-        sl1 = [slice(None)] * u.ndim
-        sl0[axis] = 0
-        sl1[axis] = -1
-        edge = max(edge, np.max(np.abs(u[tuple(sl0)])), np.max(np.abs(u[tuple(sl1)])))
+    edge = max(np.max(np.abs(np.take(u, [0, -1], axis=axis))) for axis in range(u.ndim))
     return float(edge / peak)
 
 

@@ -42,10 +42,7 @@ def r_star(k: int) -> float:
 
 def k_lower_bounds(params: ProblemParams) -> list:
     """Strict lower bounds on k: 3-b always, plus 2/b (or 4/b when N=2)."""
-    b = params.b
-    bounds = [3.0 - b]
-    bounds.append(4.0 / b if params.ndim == 2 else 2.0 / b)
-    return bounds
+    return [3.0 - params.b, (4.0 if params.ndim == 2 else 2.0) / params.b]
 
 
 def check_k(k: int, params: ProblemParams) -> None:
@@ -64,9 +61,9 @@ def weight_exponent(params: ProblemParams) -> float:
 
 
 def default_k(params: ProblemParams) -> int:
-    """Smallest ceiling satisfying every strict bound, plus one for margin."""
-    k = max(2, max(math.ceil(bound) for bound in k_lower_bounds(params)) + 1)
-    return k
+    """Smallest ceiling satisfying every strict bound, plus one for margin
+    (at least 3, since 3 - b > 1)."""
+    return max(math.ceil(bound) for bound in k_lower_bounds(params)) + 1
 
 
 ANTIDERIVATIVE = -1  # the order that asks Bridge for the integral from r_star
@@ -317,13 +314,13 @@ class CutoffProfile:
 
 def build_cutoff(k: int, R: float, params: ProblemParams) -> CutoffProfile:
     """Construct the profile for an integer k >= 2 that meets the strict
-    bounds of check_k for (N, b), and R > 0; raises ConstraintError (k) or
-    InvariantError (R) otherwise."""
+    bounds of check_k for (N, b), and a finite R > 0; raises ConstraintError
+    (k) or InvariantError (R) otherwise."""
     if not float(k).is_integer() or k < 2:
         raise ConstraintError(f"k must be an integer >= 2, got {k}")
     k = int(k)
-    if R <= 0:
-        raise InvariantError(f"R must be positive, got {R}")
+    if not 0.0 < R < math.inf:
+        raise InvariantError(f"R must be positive and finite, got {R}")
     check_k(k, params)
     a, bridge = _build_bridge(k)
     return CutoffProfile(k=k, R=float(R), params=params, r_star=a, bridge=bridge)
@@ -348,7 +345,7 @@ def _rho_samples(profile: CutoffProfile, n: int) -> np.ndarray:
     return np.concatenate([inner, near, bridge, outer])
 
 
-def verify_phicond(profile: CutoffProfile, samples: int = 10**4) -> dict:
+def verify_phicond(profile: CutoffProfile, samples: int) -> dict:
     """Checks partial_r phi_R - r partial^2_r phi_R >= 0 over (0, 4R]."""
     rho = _rho_samples(profile, samples)
     vals = profile.phicond_expr(rho * profile.R)
@@ -361,7 +358,7 @@ def verify_phicond(profile: CutoffProfile, samples: int = 10**4) -> dict:
     }
 
 
-def grad_weight_bound(profile: CutoffProfile, samples: int = 10**5) -> float:
+def grad_weight_bound(profile: CutoffProfile, samples: int) -> float:
     """sup over r in (0, 4R] of R * |d/dr Phi_2^e| (e the dimension-dependent
     exponent), by central differences on the smooth pieces."""
     e = weight_exponent(profile.params)
@@ -389,7 +386,7 @@ class EpsilonResult:
     verified: bool
 
 
-def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> EpsilonResult:
+def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResult:
     """Largest-margin epsilon with c*eps*Phi_2^q(r) <= Phi_1(r) for r > R,
     q the dimension-dependent exponent 2/(2-b) (2/(2-b/2) when N=2).
 
@@ -454,7 +451,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int = 10**5) -> Epsi
     )
 
 
-def bilaplacian_sup(profile: CutoffProfile, samples: int = 10**5) -> float:
+def bilaplacian_sup(profile: CutoffProfile, samples: int) -> float:
     """sup |Lap^2 phi_R| by dense radial sampling (scales as 1/R^2)."""
     rho = _rho_samples(profile, samples)
     return float(np.max(np.abs(profile.bilaplacian_phi_R(rho * profile.R))))

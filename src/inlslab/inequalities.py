@@ -174,7 +174,8 @@ class ConstantEstimate:
 
 def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimate:
     """Max of LHS/RHS over a seeded Gaussian/band-limited family, followed
-    by a coordinate-search refinement around the best Gaussian member."""
+    by a coordinate search over scale and shift around the best Gaussian
+    member."""
     if trials < 1:
         raise InvariantError("trials must be >= 1")
     L = case.grid.half_width
@@ -209,8 +210,8 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     if best[1] is not None and best[1]["kind"] == "gaussian":
         d = dict(best[1])
         for _ in range(2):
-            for key, deltas in (("scale", (0.9, 1.1)), ("shift", (0.9, 1.1)), ("mod", (1.0,))):
-                for fac in deltas:
+            for key in ("scale", "shift"):
+                for fac in (0.9, 1.1):
                     trial = dict(d)
                     trial[key] = d[key] * fac
                     rr = ratio_of(

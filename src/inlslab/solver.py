@@ -5,10 +5,10 @@ Both subflows are exact: the linear half-step is a Fourier multiplier and
 the nonlinear step is a pure phase rotation (|u| is pointwise conserved by
 the potential-only flow), so mass is preserved to roundoff per step.
 
-Blow-up is detected, never proved: the certificate is the triple
-(grad-norm ceiling hit, dt floor hit, z_R concavity on the samples),
-reported together. Crossing the dt floor clamps the step and latches the
-flag; the run stops once the gradient ceiling is crossed at a sample.
+Blow-up is detected, never proved: the only route to a blow-up verdict
+is a sample over the gradient-norm or sup-norm ceiling, reported beside
+the z_R concavity on the samples. The dt floor only bounds the step:
+crossing it clamps the step and latches a flag, and decides no outcome.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class SolverConfig:
                 raise InvariantError(f"{name} must be finite")
         if not (0.0 < self.dt_floor < self.dt0):
             raise InvariantError("need 0 < dt_floor < dt0")
-        # c_cfl <= 0 would clamp every step to dt_floor: a blow-up for any data
+        # c_cfl <= 0 would clamp every step to dt_floor, whatever the data
         if min(self.t_max, self.c_cfl, self.gradnorm_ceiling, self.supnorm_ceiling) <= 0:
             raise InvariantError("t_max, c_cfl and ceilings must be positive")
         if self.sample_stride < 1:
@@ -97,10 +97,7 @@ class RunReport:
 
     def concavity_fraction(self, R: float, t_cut: float | None = None) -> float:
         """Fraction of samples with negative second finite difference of
-        z_R. t_cut restricts to samples at or before that time; the
-        certificate uses the first detector event (the dt-floor crossing),
-        past which the clamped step no longer honors the phase CFL bound
-        and samples stop being trustworthy."""
+        z_R. t_cut restricts to samples at or before that time."""
         fd = self.zR_second_fd(R)
         if t_cut is not None:
             t = np.array([s.t for s in self.series])
@@ -111,8 +108,11 @@ class RunReport:
         return float(np.mean(fd < 0.0))
 
     def tracked_concavity(self, R: float) -> float:
-        """Concavity fraction over the tracked window: up to the start of
-        the blow-up bracket when a detector fired, else the whole run."""
+        """Concavity fraction up to the start of the blow-up bracket on a
+        ceiling stop: the dt-floor crossing, past which the clamped step no
+        longer honors the phase CFL bound, or else the last sample under the
+        ceiling. With no bracket, a run that crossed the floor and reached
+        t_max included, it covers the whole run."""
         t_cut = self.blowup_time_bracket[0] if self.blowup_time_bracket else None
         return self.concavity_fraction(R, t_cut=t_cut)
 
@@ -277,8 +277,8 @@ def run(
         if step % cfg.sample_stride == 0 or t >= cfg.t_max:
             stop = observe(t, dt)
 
-    # a floor crossing without a ceiling by t_max is still a blow-up signal
-    outcome = stop or (OUTCOME_BLOWUP if floor_time is not None else OUTCOME_REACHED_T_MAX)
+    # only a ceiling stops with a blow-up; the floor just clamped the step
+    outcome = stop or OUTCOME_REACHED_T_MAX
     if outcome != OUTCOME_INSTABILITY:
         checkpoint(t, "final")
     bracket = None

@@ -9,8 +9,7 @@ MARGIN = 55
 
 
 def _ticks(lo, hi, n=5):
-    if hi == lo:
-        hi = lo + 1.0
+    """Round tick values in [lo, hi]; line_plot widens an empty range first."""
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
@@ -26,7 +25,7 @@ def _ticks(lo, hi, n=5):
     return out
 
 
-def line_plot(path, series, title="", xlabel="t", ylabel="", logy=False):
+def line_plot(path, series, title="", ylabel="", logy=False):
     """series: list of (label, xs, ys, color)."""
     pts = [
         (x, y)
@@ -58,7 +57,7 @@ def line_plot(path, series, title="", xlabel="t", ylabel="", logy=False):
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>',
-        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle" font-size="12">t</text>',
         f'<text x="15" y="{HEIGHT / 2}" font-size="12" '
         f'transform="rotate(-90 15 {HEIGHT / 2})" text-anchor="middle">{ylabel}</text>',
     ]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from inlslab import observables
 from inlslab.cli import (
     CONFIG_KEYS,
+    EXIT_CODES,
     ConfigError,
     build_parser,
     main,
@@ -239,13 +240,32 @@ class TestParseConfig:
         [
             ("[problem\nN = 1\n", "syntax: "),
             (MINIMAL.replace("R = 2,4", "R = 0,4"), "[cutoff] R values must be positive"),
+            # a NaN radius ran to t_max with NaN z_R and finite garbage in K1, K2
+            (MINIMAL.replace("R = 2,4", "R = nan"), "[cutoff] R values must be positive and finite"),
         ],
-        ids=["syntax", "R-not-positive"],
+        ids=["syntax", "R-not-positive", "R-nan"],
     )
     def test_rejected_texts(self, text, violation):
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert exc.value.violations[0].startswith(violation)
+
+    @pytest.mark.parametrize(
+        "old, new, violation",
+        [
+            ("L = 10.0", "L = nan", "[grid] half_width must be positive and finite"),
+            ("L = 10.0", "L = inf", "[grid] half_width must be positive and finite"),
+            ("width = 1.0", "width = nan", "[init] widths must be positive and finite"),
+            ("width = 1.0", "width = 1.0\ncenter = nan", "[init] center must be finite"),
+        ],
+        ids=["L-nan", "L-inf", "width-nan", "center-nan"],
+    )
+    def test_non_finite_geometry_is_named_at_parse(self, old, new, violation):
+        # these once parsed and failed in the run as a field with NaN or
+        # Inf samples, a message that named no section or key
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace(old, new))
+        assert exc.value.violations == [violation]
 
     def test_checkpoint_stride_zero_is_an_error(self):
         text = MINIMAL.replace("sample_stride = 5\n", "sample_stride = 5\ncheckpoint_stride = 0\n")
@@ -347,6 +367,28 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
         assert code == 10
 
+    def test_floor_crossing_alone_is_not_a_blowup(self, tmp_path):
+        # a narrow positive-energy bump: the step falls under dt_floor, but
+        # ||grad u|| only grows from 7.4 to 9.5 and no ceiling is crossed.
+        # A clamped step is step control, not a demonstration of blow-up.
+        text = (
+            MINIMAL.replace("M = 256", "M = 2048")
+            .replace("amplitude = 0.4\nwidth = 1.0", "amplitude = 2.5\nwidth = 0.1")
+            .replace("dt_floor = 1e-7", "dt_floor = 5e-4")
+        )
+        out = tmp_path / "floor"
+        assert main(["simulate", "--config", self.write_cfg(tmp_path, text), "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["E0"] == pytest.approx(12.22, abs=0.01)
+        assert man["outcome"] == "reached_t_max"
+        assert man["t_end"] == pytest.approx(0.02, rel=1e-12)
+        assert man["dt_floor_hit"] and not man["gradnorm_ceiling_hit"]
+        assert man["blowup_time_bracket"] is None
+        # no bracket, so the tracked window is the whole run
+        rows = np.loadtxt(out / "series_R2.csv", delimiter=",", skiprows=1)
+        fd = rows[:, 9][np.isfinite(rows[:, 9])]
+        assert man["tracked_concavity"]["2"] == np.mean(fd < 0.0)
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path, MINIMAL.replace("b = 0.5", "b = 2.5"))
         assert main(["simulate", "--config", cfg_path]) == 1
@@ -445,6 +487,27 @@ class TestSweepPlotAudit:
             assert '"cutoff_k": 6,' in fh.read()
         # a rejected value is only a summary row: no directory is left for it
         assert sorted(os.listdir(out)) == ["k_6", "summary.csv"]
+
+    def test_sweep_over_a_nan_R_is_an_error_row(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "R", "--values", "nan,2"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert lines[1] == "nan,error,nan,nan,nan"
+        assert lines[2].startswith("2,reached_t_max,")
+        assert "R must be positive and finite" in capsys.readouterr().err
+
+    def test_sweep_value_that_is_not_a_number_is_a_clean_error(self, tmp_path, capsys):
+        # once a ValueError traceback; now rejected before any run starts
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "amplitude", "--values", "0.1,abc"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert "'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
     def simulate_with_checkpoints(self, tmp_path, text=MINIMAL):
         cfg_path = tmp_path / "run.cfg"
@@ -634,6 +697,13 @@ class TestToolSubcommands:
         assert code == 1
         assert "unsampled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("R", ["nan", "inf"])
+    def test_cutoff_verify_rejects_a_non_finite_R(self, R, capsys):
+        # once a ZeroDivisionError traceback
+        code = main(["cutoff-verify", "--N", "1", "--b", "0.5", "--R", R, "--samples", "10000"])
+        assert code == 1
+        assert "R must be positive and finite" in capsys.readouterr().err
+
     def test_cutoff_verify_rejects_bad_k(self, capsys):
         code = main(["cutoff-verify", "--N", "1", "--b", "0.5", "--k", "4"])
         assert code == 1
@@ -661,3 +731,13 @@ def test_readme_lists_every_flag_of_every_subcommand():
         flags = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
         listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", sections[name]))
         assert listed == flags, name
+
+
+def test_readme_outcome_table_matches_the_exit_codes():
+    # the "### simulate" table lists every outcome with its exit code
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    (section,) = re.findall(r"^### simulate\n(.*?)(?=^##)", readme, flags=re.M | re.S)
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, flags=re.M)
+    assert {outcome: int(code) for outcome, code in rows} == EXIT_CODES
+    assert len(rows) == len(EXIT_CODES)

@@ -85,6 +85,8 @@ class TestGrid:
             (4, 1.0, "grid dimension"),
             (1, 0.0, "half_width"),
             (2, -1.0, "half_width"),
+            (1, float("nan"), "half_width must be positive and finite"),
+            (1, float("inf"), "half_width must be positive and finite"),
         ],
     )
     def test_rejects_bad_dimension_or_half_width(self, ndim, half_width, message):
@@ -184,9 +186,15 @@ class TestInitialData:
             ({"amplitude": float("inf")}, "amplitude must be finite"),
             ({"width": 0.0}, "widths must be positive"),
             ({"width2": -1.0}, "widths must be positive"),
+            ({"width": float("nan")}, "widths must be positive and finite"),
+            ({"width2": float("inf")}, "widths must be positive and finite"),
+            ({"amplitude2": float("nan")}, "amplitude2 must be finite"),
+            ({"center": (0.0, float("nan"))}, "center must be finite"),
+            ({"center2": (float("-inf"),)}, "center2 must be finite"),
             ({"kind": "from_checkpoint"}, "requires checkpoint_path"),
         ],
-        ids=["nan-amplitude", "inf-amplitude", "zero-width", "negative-width2",
+        ids=["nan-amplitude", "inf-amplitude", "zero-width", "negative-width2", "nan-width",
+             "inf-width2", "nan-amplitude2", "nan-center", "inf-center2",
              "checkpoint-without-path"],
     )
     def test_rejects_bad_values(self, kwargs, message):

@@ -177,6 +177,13 @@ class TestKRule:
         with pytest.raises(InvariantError):
             build_cutoff(5, -1.0, P1)
 
+    @pytest.mark.parametrize("R", [float("nan"), float("inf")])
+    def test_build_rejects_a_non_finite_R(self, R):
+        # a NaN R gave NaN z_R beside finite K1 and K2; an infinite one
+        # divided by zero in the epsilon search
+        with pytest.raises(InvariantError, match="R must be positive and finite"):
+            build_cutoff(5, R, P1)
+
 
 class TestPhicond:
     def test_inner_region_is_exactly_zero(self):
@@ -305,7 +312,7 @@ class TestEpsilon:
     def test_rejects_nonpositive_c(self):
         prof = build_cutoff(5, 1.0, P1)
         with pytest.raises(InvariantError):
-            find_epsilon(prof, 0.0)
+            find_epsilon(prof, 0.0, 10**4)
 
 
 class TestBilaplacian:

@@ -241,7 +241,9 @@ class TestRun:
         assert rep.blowup_time_bracket is not None
 
     def test_dt_floor_hit_is_latched_and_reported(self):
-        # CFL-binding data with the floor just under dt0 forces a clamp
+        # CFL-binding data with the floor just under dt0 forces a clamp; the
+        # floor only bounds the step, so with no ceiling hit the run
+        # reaches t_max and has no blow-up bracket
         init = InitialData(kind="gaussian", amplitude=4.0, width=0.5)
         rep = run(
             init,
@@ -251,8 +253,8 @@ class TestRun:
             PROFILES,
         )
         assert rep.dt_floor_hit
-        assert rep.outcome == OUTCOME_BLOWUP
-        assert rep.blowup_time_bracket is not None
+        assert rep.outcome == OUTCOME_REACHED_T_MAX
+        assert rep.blowup_time_bracket is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_marks_instability(self):
@@ -295,11 +297,13 @@ class TestRun:
         "amplitude, overrides, outcome, ceiling_hit, floor_hit, steps",
         [
             (1e-3, {}, OUTCOME_REACHED_T_MAX, False, False, 50),
-            (2.0, {"dt_floor": 9e-4}, OUTCOME_BLOWUP, False, True, 53),
+            (2.0, {"dt_floor": 9e-4}, OUTCOME_REACHED_T_MAX, False, True, 53),
             (2.0, {"gradnorm_ceiling": 4.5}, OUTCOME_BLOWUP, True, False, 20),
+            # the floor is crossed near t = 0.028, the ceiling first at t = 0.034
+            (2.0, {"dt_floor": 9e-4, "gradnorm_ceiling": 9.0}, OUTCOME_BLOWUP, True, True, 35),
             (0.4, {}, OUTCOME_INSTABILITY, False, False, 3),
         ],
-        ids=["reached_t_max", "floor_only_blowup", "ceiling_blowup", "non_finite"],
+        ids=["reached_t_max", "floor_then_t_max", "ceiling_blowup", "floor_then_ceiling", "non_finite"],
     )
     def test_end_state_of_each_stop_reason(
         self, amplitude, overrides, outcome, ceiling_hit, floor_hit, steps, tmp_path, monkeypatch
@@ -330,13 +334,16 @@ class TestRun:
         assert rep.t_end == rep.series[-1].t
         assert read_checkpoint(final)[1] == rep.t_end
         if outcome == OUTCOME_REACHED_T_MAX:
+            # a floor crossing alone opens no bracket
             assert rep.t_end == pytest.approx(0.05, rel=1e-12)
             assert rep.blowup_time_bracket is None
         elif floor_hit:
-            # from the floor crossing, between samples, to t_max
+            # from the floor crossing, between samples and before the last
+            # sample under the ceiling, to the sample over it
             lo, hi = rep.blowup_time_bracket
-            assert 0.0 < lo < hi == rep.t_end == pytest.approx(0.05, rel=1e-12)
+            assert 0.0 < lo < rep.series[-2].t < hi == rep.t_end
             assert lo not in [s.t for s in rep.series]
+            assert rep.series[-2].grad_norm <= 9.0 < rep.series[-1].grad_norm
         else:
             # from the last sample under the ceiling to the one over it
             assert rep.blowup_time_bracket == (rep.series[-2].t, rep.t_end)
