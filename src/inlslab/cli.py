@@ -211,6 +211,7 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
         "boundary_decay": report.boundary_decay,
         "alpha_summary": report.alpha_summary(),
         "gradnorm_ceiling_hit": report.gradnorm_ceiling_hit,
+        "supnorm_ceiling_hit": report.supnorm_ceiling_hit,
         "dt_floor_hit": report.dt_floor_hit,
         "blowup_time_bracket": report.blowup_time_bracket,
         "tracked_concavity": {f"{R:g}": report.tracked_concavity(R) for R in cfg.cutoff_R},

@@ -160,9 +160,9 @@ class InitialData:
 
 def gaussian(grid: Grid, amplitude: float, width: float, center) -> np.ndarray:
     """amplitude exp(-|x - center|^2 / (2 width^2)) on the grid, complex;
-    center is padded with zeros (or cut) to the grid's dimension."""
+    center, of at most the grid's dimension, is padded with zeros to it."""
     c = np.zeros(grid.ndim)
-    c[: len(np.atleast_1d(center))] = np.atleast_1d(center)[: grid.ndim]
+    c[: len(np.atleast_1d(center))] = np.atleast_1d(center)
     r2 = sum((xj - cj) ** 2 for xj, cj in zip(grid.coords(), c))
     return amplitude * np.exp(-r2 / (2.0 * width**2)) + 0.0j
 
@@ -179,7 +179,12 @@ def boundary_decay(u: np.ndarray) -> float:
 
 def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
     """Sample the initial data on the grid; warns if it fails to decay at
-    the box boundary (box-adequacy check)."""
+    the box boundary (box-adequacy check). A center with more coordinates
+    than the grid's dimension is rejected, not cut."""
+    for name in ("center", "center2"):
+        n = len(np.atleast_1d(getattr(init, name)))
+        if n > grid.ndim:
+            raise InvariantError(f"{name} has {n} coordinates, more than N = {grid.ndim}")
     if init.kind == "from_checkpoint":
         f, _t = read_checkpoint(init.checkpoint_path)
         if f.params != params or f.grid != grid:

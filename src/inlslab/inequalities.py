@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 from .core import Field, Grid, InvariantError, ProblemParams, gaussian
 from .cutoff import CutoffProfile, weight_exponent
@@ -161,7 +161,7 @@ def _bandlimited_member(grid: Grid, rng) -> np.ndarray:
         sh[axis] = M
         mask &= np.abs(m.reshape(sh)) <= cut
     spec[~mask] = 0.0
-    u = _fft.ifftn(spec)
+    u = _fft.ifftn(spec, out=spec)
     return u / np.max(np.abs(u))
 
 

@@ -75,6 +75,7 @@ class RunReport:
     mass0: float
     blowup_time_bracket: tuple | None = None
     gradnorm_ceiling_hit: bool = False
+    supnorm_ceiling_hit: bool = False
     dt_floor_hit: bool = False
     # |u| on the box faces over its peak at t = 0, the ratio realize warns
     # about; None for data read from a checkpoint, which realize takes as is
@@ -294,6 +295,7 @@ def run(
         mass0=mass0,
         blowup_time_bracket=bracket,
         gradnorm_ceiling_hit=bracket is not None and series[-1].grad_norm > cfg.gradnorm_ceiling,
+        supnorm_ceiling_hit=bracket is not None and series[-1].sup_norm > cfg.supnorm_ceiling,
         dt_floor_hit=floor_time is not None,
         boundary_decay=None if init.kind == "from_checkpoint" else boundary_decay(f.values),
         checkpoints=checkpoints,

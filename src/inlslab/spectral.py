@@ -16,7 +16,7 @@ N-dimensional transforms.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 from .core import Field, Grid, InvariantError
 
@@ -46,12 +46,13 @@ class SpectralPlan:
             shape_axes.append((xi.reshape(sh), xi_d.reshape(sh)))
         self._xi_axes = shape_axes
         self.k2 = sum(x**2 for x, _ in shape_axes)
+        self.k2d = sum(xd**2 for _, xd in shape_axes)  # |xi|^2, Nyquist zeroed
         self._multipliers: dict = {}
         # Allocate and drop one untouched block of a few fields. Freeing it
         # raises glibc's mmap threshold to its size and the trim threshold
-        # to twice that (mallopt(3)), so pocketfft's per-call scratch and
-        # field-sized temporaries are reused from the heap instead of being
-        # handed back to the kernel and faulted in again on every transform.
+        # to twice that (mallopt(3)), so the scratch numpy.fft allocates per
+        # call and field-sized temporaries are reused from the heap instead
+        # of being handed back to the kernel and faulted in again.
         # The pages are never touched, so resident memory does not grow.
         np.empty(min(4 * grid.size, HEAP_HOLD_POINTS), dtype=np.complex128)
 
@@ -68,7 +69,7 @@ class SpectralPlan:
         for axis, (_, xi_d) in enumerate(self._xi_axes):
             fhat = _fft.fftn(values, axes=(axis,))
             fhat *= 1j * xi_d
-            grads.append(_fft.ifftn(fhat, axes=(axis,), overwrite_x=True))
+            grads.append(_fft.ifftn(fhat, axes=(axis,), out=fhat))
         return grads
 
     def laplacian_array(self, values: np.ndarray) -> np.ndarray:
@@ -85,15 +86,16 @@ class SpectralPlan:
                 self._multipliers.clear()
             m = np.exp(-1j * self.k2 * dt)
             self._multipliers[dt] = m
-        return _fft.ifftn(_fft.fftn(values) * m)
+        fhat = _fft.fftn(values)
+        fhat *= m
+        return _fft.ifftn(fhat, out=fhat)
 
     def grad_norm(self, values: np.ndarray) -> float:
         """sqrt(sum_j ||d_j u||_2^2) with rectangle-rule quadrature,
         evaluated on the frequency side (Parseval)."""
         fhat = _fft.fftn(values)
-        k2d = sum(xd**2 for _, xd in self._xi_axes)
         w = self.grid.cell_volume / self.grid.size
-        return float(np.sqrt(w * np.sum(k2d * np.abs(fhat) ** 2)))
+        return float(np.sqrt(w * np.sum(self.k2d * np.abs(fhat) ** 2)))
 
     def radial_derivative_arrays(self, values: np.ndarray):
         """(gradient components, x . grad u) for virial diagnostics."""

@@ -367,6 +367,26 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
         assert code == 10
 
+    @pytest.mark.parametrize("ceiling", ["supnorm", "gradnorm"])
+    def test_ceiling_stop_is_named_in_the_manifest(self, tmp_path, ceiling):
+        # the 0.4-amplitude bump starts over a sup-norm ceiling of 0.1 and
+        # far under the default gradient-norm one, and the other way round
+        value = {"supnorm": "0.1", "gradnorm": "1e-12"}[ceiling]
+        text = MINIMAL.replace("sample_stride = 5\n", f"sample_stride = 5\n{ceiling}_ceiling = {value}\n")
+        out = tmp_path / ceiling
+        assert main(["simulate", "--config", self.write_cfg(tmp_path, text), "--out-dir", str(out)]) == 10
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outcome"] == "blowup_detected" and not man["dt_floor_hit"]
+        assert man["supnorm_ceiling_hit"] == (ceiling == "supnorm")
+        assert man["gradnorm_ceiling_hit"] == (ceiling == "gradnorm")
+
+    def test_center_longer_than_n_is_an_error(self, tmp_path, capsys):
+        # the manifest would record both coordinates of a run centred at 0.5
+        text = MINIMAL.replace("width = 1.0", "width = 1.0\ncenter = 0.5,7")
+        cfg_path = self.write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "center has 2 coordinates, more than N = 1" in capsys.readouterr().err
+
     def test_floor_crossing_alone_is_not_a_blowup(self, tmp_path):
         # a narrow positive-energy bump: the step falls under dt_floor, but
         # ||grad u|| only grows from 7.4 to 9.5 and no ceiling is crossed.

@@ -136,6 +136,20 @@ class TestInitialData:
         peak_x = grid.axis_coords()[int(np.argmax(np.abs(f.values)))]
         assert abs(peak_x - 1.5) <= grid.h
 
+    def test_short_center_is_padded_with_zeros(self):
+        params = ProblemParams(2, 1.0)
+        grid = Grid(2, 8.0, 64)
+        f = realize(InitialData(kind="shifted_gaussian", width=0.5, center=(1.5,)), params, grid)
+        x = grid.axis_coords()
+        i, j = np.unravel_index(np.argmax(np.abs(f.values)), grid.shape)
+        assert abs(x[i] - 1.5) <= grid.h and abs(x[j]) <= grid.h
+
+    @pytest.mark.parametrize("key", ["center", "center2"])
+    def test_center_longer_than_the_dimension_is_rejected(self, key):
+        init = InitialData(kind="sum_of_gaussians", amplitude2=0.3, **{key: (0.5, 7.0)})
+        with pytest.raises(InvariantError, match=f"^{key} has 2 coordinates, more than N = 1"):
+            realize(init, ProblemParams(1, 0.5), Grid(1, 10.0, 256))
+
     def test_sum_of_gaussians_superposes(self):
         params = ProblemParams(1, 0.5)
         grid = Grid(1, 10.0, 256)

@@ -3,6 +3,7 @@ closed forms, independent quadrature, and time finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from inlslab.core import Field, Grid, InitialData, ProblemParams, realize
@@ -17,6 +18,8 @@ from inlslab.observables import (
     virial_z_second,
 )
 from inlslab.spectral import SpectralPlan
+
+from test_spectral import GRIDS, PROPERTY, SEEDS
 
 PARAMS = ProblemParams(1, 0.5)
 
@@ -295,19 +298,45 @@ def test_grid_weights_radius_power(grid):
     assert gw.quad == grid.cell_volume
 
 
+def direct_weights(prof, gw):
+    """Every virial weight but phi_R, evaluated the direct way at every grid
+    point from the profile's own evaluators, shaped like the grid."""
+    N, b = gw.params.ndim, gw.params.b
+    r = gw.r
+    dphi_over_r = prof.dphi_R_over_r(r)
+    d2phi = prof.d2phi_R(r)
+    return {
+        "dphi_over_r": dphi_over_r,
+        "bilap": prof.bilaplacian_phi_R(r),
+        "aniso": (d2phi - dphi_over_r) / r**2,
+        "w_t4": -d2phi - (N - 1.0 + b * N / (2.0 - b)) * dphi_over_r,
+        "w_K1": 2.0 - dphi_over_r,
+        "w_K2": (2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * (2.0 - dphi_over_r),
+    }
+
+
+def outside_box(pg, shape):
+    mask = np.ones(shape, dtype=bool)
+    mask[pg.box] = False
+    return mask
+
+
 def test_profile_on_grid_arrays_match_profile(grid, gw):
     prof = build_cutoff(5, 2.0, PARAMS)
     pg = ProfileOnGrid(prof, gw)
-    r = gw.r.ravel()
-    d2phi = prof.d2phi_R(r)
-    N, b = PARAMS.ndim, PARAMS.b
-    for weight in (pg.phi_R, pg.dphi_over_r, pg.bilap, pg.aniso, pg.w_t4, pg.w_K1, pg.w_K2):
-        assert weight.shape == (grid.size,)
-    assert np.array_equal(pg.phi_R, prof.phi_R(r))
-    assert np.array_equal(pg.dphi_over_r, prof.dphi_R_over_r(r))
-    assert np.array_equal(pg.bilap, prof.bilaplacian_phi_R(r))
-    assert np.array_equal(pg.aniso, (d2phi - pg.dphi_over_r) / r**2)
-    assert np.array_equal(pg.w_t4, -d2phi - (N - 1.0 + b * N / (2.0 - b)) * pg.dphi_over_r)
+    # the box is the index range of the cell centres with |x| < 2R
+    x = grid.axis_coords()
+    inside = np.zeros(grid.size, dtype=bool)
+    inside[pg.box] = True
+    assert np.array_equal(inside, np.abs(x) < 2.0 * prof.R)
+    assert np.array_equal(pg.phi_R, prof.phi_R(gw.r.ravel()))
+    outside = outside_box(pg, grid.shape)
+    assert outside.any()
+    tails = {"w_K1": pg.K1_tail, "w_K2": pg.K2_tail}
+    for name, w in direct_weights(prof, gw).items():
+        assert np.array_equal(getattr(pg, name), w[pg.box]), name
+        # exactly 0, or the constant tail, outside the box
+        assert np.all(w[outside] == tails.get(name, 0.0)), name
 
 
 @pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64), (3, 0.5, 16)])
@@ -320,14 +349,37 @@ def test_weights_match_the_closed_form_phi1_and_phi2(ndim, b, M, R):
     gw = GridWeights(grid, params)
     prof = build_cutoff(default_k(params), R, params)
     pg = ProfileOnGrid(prof, gw)
-    r = gw.r.ravel()
-    assert np.max(np.abs(pg.w_K1 - prof.phi1(r) / 4.0)) <= 1e-13
-    assert np.max(np.abs(pg.w_K2 - prof.phi2(r) * (ndim + 2.0 - b) / 2.0)) <= 1e-13
+    direct = direct_weights(prof, gw)
+    outside = outside_box(pg, grid.shape)
+    r = gw.r
+    for name, tail, closed in (
+        ("w_K1", pg.K1_tail, prof.phi1(r) / 4.0),
+        ("w_K2", pg.K2_tail, prof.phi2(r) * (ndim + 2.0 - b) / 2.0),
+    ):
+        box_weight = getattr(pg, name)
+        assert np.array_equal(box_weight, direct[name][pg.box])
+        assert np.all(direct[name][outside] == tail)
+        on_grid = np.full(grid.shape, tail)
+        on_grid[pg.box] = box_weight
+        assert np.max(np.abs(on_grid - closed)) <= 1e-13
+
+
+# A box sum rounds differently from the full-grid sum of the same
+# products; pairwise summation keeps both within a few eps of the sum of
+# the magnitudes. K1 and K2 also add c (sum of d - box sum of d) for their
+# constant weight c outside the box, which rounds on the scale of c times
+# the sum of d. 64 eps of these scales is far below a wrong tail, which
+# moves K1 by O(kinetic) and K2 by O(potential).
+ROUNDING = 64 * np.finfo(float).eps
 
 
 def reference_virials(plan, f, gw, profiles):
-    """R -> VirialReport by the per-radius formulas, each sum a separate
-    np.sum over shaped arrays from the profile's own evaluators."""
+    """R -> (VirialReport, scales) by the per-radius formulas, each sum a
+    separate np.sum over the whole grid of shaped arrays from the profile's
+    own evaluators. scales maps each column but z_R and z_R' to the sum of
+    |weight * density| over its terms, the tails' constant weights times
+    their full-grid density sums included: the scale of its rounding
+    error."""
     params = f.params
     quad = gw.quad
     N, b = params.ndim, params.b
@@ -341,37 +393,58 @@ def reference_virials(plan, f, gw, profiles):
     conj_u = np.conj(f.values)
     energy = conservation(plan, f, gw).energy
 
+    def weighted(c, w, d):
+        p = w * d
+        return c * quad * float(np.sum(p)), abs(c) * quad * float(np.sum(np.abs(p)))
+
     out = {}
     for prof in profiles:
-        r = gw.r
-        phi_R = prof.phi_R(r)
-        dphi_over_r = prof.dphi_R_over_r(r)
-        d2phi = prof.d2phi_R(r)
-        bilap = prof.bilaplacian_phi_R(r)
-        aniso = (d2phi - dphi_over_r) / r**2
-        t1 = 4.0 * quad * float(np.sum(dphi_over_r * grad2))
-        t2 = 4.0 * quad * float(np.sum(aniso * xdot2))
-        t3 = -quad * float(np.sum(bilap * absu2))
-        t4 = coef * quad * float(
-            np.sum((-d2phi - (N - 1.0 + b * N / (2.0 - b)) * dphi_over_r) * wup)
-        )
+        w = direct_weights(prof, gw)
+        t1, s1 = weighted(4.0, w["dphi_over_r"], grad2)
+        t2, s2 = weighted(4.0, w["aniso"], xdot2)
+        t3, s3 = weighted(-1.0, w["bilap"], absu2)
+        t4, s4 = weighted(coef, w["w_t4"], wup)
         z_second = t1 + t2 + t3 + t4
-        K1 = -4.0 * quad * float(np.sum((2.0 - dphi_over_r) * grad2)) + 4.0 * quad * float(
-            np.sum(aniso * xdot2)
-        )
-        K2 = (2.0 / cN) * quad * float(
-            np.sum(((2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * (2.0 - dphi_over_r)) * wup)
-        )
-        out[prof.R] = observables.VirialReport(
-            zR=quad * float(np.sum(phi_R * absu2)),
-            zR_prime=2.0 * quad * float(np.sum((dphi_over_r * xdot * conj_u).imag)),
-            zR_second_formula=z_second,
-            K1=K1,
-            K2=K2,
-            K3=t3,
-            alpha_check=(z_second - K1 - K2 - t3) / energy,
+        K1, sK1 = weighted(-4.0, w["w_K1"], grad2)
+        K1 += t2
+        K2, sK2 = weighted(2.0 / cN, w["w_K2"], wup)
+        alpha = (z_second - K1 - K2 - t3) / energy
+        # the K1 and K2 weights at r >= 2R
+        K1_tail = weighted(-4.0, 2.0, grad2)[1]
+        K2_tail = weighted(2.0 / cN, (2.0 - b) * 2.0 + (2.0 * N - 2.0 + b) * 2.0, wup)[1]
+        scales = {
+            "zR_second_formula": s1 + s2 + s3 + s4,
+            "K1": sK1 + s2 + K1_tail,
+            "K2": sK2 + K2_tail,
+            "K3": s3,
+        }
+        scales["alpha_check"] = sum(scales.values()) * 2.0 / abs(energy) + abs(alpha)
+        out[prof.R] = (
+            observables.VirialReport(
+                zR=quad * float(np.sum(prof.phi_R(gw.r) * absu2)),
+                zR_prime=2.0 * quad * float(np.sum((w["dphi_over_r"] * xdot * conj_u).imag)),
+                zR_second_formula=z_second,
+                K1=K1,
+                K2=K2,
+                K3=t3,
+                alpha_check=alpha,
+            ),
+            scales,
         )
     return out
+
+
+def assert_matches_reference(got, ref):
+    for R, (want, scales) in ref.items():
+        # the same products summed in the same order, so the same bits: a
+        # second difference in time of z_R multiplies any change in its
+        # rounding by 4/h^2
+        assert got[R].zR == want.zR, R
+        # z_R' forms its integrand differently
+        assert abs(got[R].zR_prime - want.zR_prime) <= 1e-10 * max(1.0, abs(want.zR_prime)), R
+        for name, scale in scales.items():
+            err = abs(getattr(got[R], name) - getattr(want, name))
+            assert err <= ROUNDING * scale, (R, name, err, scale)
 
 
 @pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64)])
@@ -385,13 +458,20 @@ def test_weighted_sums_match_the_per_radius_formulas(ndim, b, M):
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
     f = Field(params, grid, 0.9 * np.exp(-r2 / 2.0) * np.exp(0.3j * grid.coords()[0]))
     got = virial_z_second(plan, f, gw, pgs, conservation(plan, f, gw).energy)
-    ref = reference_virials(plan, f, gw, profiles)
-    for R in pgs:
-        # the same products summed in the same order, so the same bits: a
-        # second difference in time of z_R multiplies any change in its
-        # rounding by 4/h^2. Only z_R' forms its integrand differently.
-        for name, val in vars(ref[R]).items():
-            if name == "zR_prime":
-                assert abs(got[R].zR_prime - val) <= 1e-10 * max(1.0, abs(val)), R
-            else:
-                assert getattr(got[R], name) == val, (R, name)
+    assert_matches_reference(got, reference_virials(plan, f, gw, profiles))
+
+
+@PROPERTY
+@given(grid=GRIDS, b=st.sampled_from([0.5, 1.0, 1.5]), scale=st.floats(0.01, 0.6), seed=SEEDS)
+def test_box_sums_match_full_grid_sums(grid, b, scale, seed):
+    # radii from boxes of no point or one to a box that covers the grid
+    # (R >= L/2), on fields with mass everywhere, so every tail is exercised
+    params = ProblemParams(grid.ndim, b)
+    prof = build_cutoff(default_k(params), scale * grid.half_width, params)
+    plan = SpectralPlan(grid)
+    gw = GridWeights(grid, params)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    f = Field(params, grid, u)
+    got = virial_z_second(plan, f, gw, {prof.R: ProfileOnGrid(prof, gw)}, conservation(plan, f, gw).energy)
+    assert_matches_reference(got, reference_virials(plan, f, gw, [prof]))

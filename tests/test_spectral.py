@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import inlslab
@@ -120,12 +119,12 @@ def full_transform_gradient(grid, u):
     M = grid.points_per_axis
     xi_d = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
     xi_d[M // 2] = 0.0
-    fhat = scipy.fft.fftn(u)
+    fhat = np.fft.fftn(u)
     grads = []
     for axis in range(grid.ndim):
         sh = [1] * grid.ndim
         sh[axis] = M
-        grads.append(scipy.fft.ifftn(1j * xi_d.reshape(sh) * fhat))
+        grads.append(np.fft.ifftn(1j * xi_d.reshape(sh) * fhat))
     return grads
 
 
@@ -172,7 +171,7 @@ class TestGradientKernel:
             return wrapped
 
         for name in ("fftn", "ifftn"):
-            monkeypatch.setattr(scipy.fft, name, counting(name, getattr(scipy.fft, name)))
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         grid = Grid(3, 8.0, 8)
         SpectralPlan(grid).gradient_arrays(np.ones(grid.shape, dtype=complex))
         assert calls == [
@@ -300,8 +299,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
 def test_propagator_does_not_refault_its_scratch():
-    # without the plan's heap hold, glibc returns pocketfft's 1 MiB scratch
-    # blocks to the kernel after every transform: about 700 faults a call
+    # without the plan's heap hold, glibc returns the 1 MiB output and
+    # scratch blocks of numpy.fft to the kernel after every transform: about
+    # 960 faults a call
     src = os.path.dirname(os.path.dirname(inlslab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
