@@ -280,7 +280,7 @@ def _read_csv(path):
 
 def _drifts(mass, energy):
     """Relative drift of mass and energy from their first samples."""
-    return np.abs(mass / mass[0] - 1.0), np.abs(energy - energy[0]) / max(abs(energy[0]), 1e-30)
+    return obs.mass_drift(mass, mass[0]), np.abs(energy - energy[0]) / max(abs(energy[0]), 1e-30)
 
 
 def plot(run_dir: str) -> int:

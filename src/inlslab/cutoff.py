@@ -171,51 +171,49 @@ class CutoffProfile:
 
     # --- rho-space profile -------------------------------------------------
 
+    def _pieces(self, rho):
+        """Masks of the middle piece 1 < rho <= r_star and of the bridge
+        r_star < rho < 2; v is 2 rho below them and 0 above."""
+        return (rho > 1.0) & (rho <= self.r_star), (rho > self.r_star) & (rho < 2.0)
+
     def v_derivs(self, rho):
         """(v, v', v'', v''') at rho, piecewise closed-form."""
         rho = np.asarray(rho, dtype=float)
         k = self.k
-        v = np.zeros_like(rho)
-        v1 = np.zeros_like(rho)
-        v2 = np.zeros_like(rho)
-        v3 = np.zeros_like(rho)
-
-        m = rho <= 1.0
-        v[m] = 2.0 * rho[m]
-        v1[m] = 2.0
-
-        m = (rho > 1.0) & (rho <= self.r_star)
-        d = rho[m] - 1.0
-        v[m] = 2.0 * rho[m] - 2.0 * d**k
-        v1[m] = 2.0 - 2.0 * k * d ** (k - 1)
-        v2[m] = -2.0 * k * (k - 1) * d ** (k - 2)
-        if k > 2:
-            v3[m] = -2.0 * k * (k - 1) * (k - 2) * d ** (k - 3)
-
-        m = (rho > self.r_star) & (rho < 2.0)
-        if np.any(m):
-            v[m], v1[m], v2[m], v3[m] = self.bridge(rho[m], (0, 1, 2, 3))
+        mid, bridge = self._pieces(rho)
+        inner = rho <= 1.0
+        v, v1 = np.where(inner, 2.0 * rho, 0.0), np.where(inner, 2.0, 0.0)
+        v2, v3 = np.zeros_like(rho), np.zeros_like(rho)
+        d = rho[mid] - 1.0
+        v[mid] = 2.0 * rho[mid] - 2.0 * d**k
+        v1[mid] = 2.0 - 2.0 * k * d ** (k - 1)
+        v2[mid] = -2.0 * k * (k - 1) * d ** (k - 2)
+        v3[mid] = -2.0 * k * (k - 1) * (k - 2) * d ** (k - 3)
+        v[bridge], v1[bridge], v2[bridge], v3[bridge] = self.bridge(rho[bridge], (0, 1, 2, 3))
         return v, v1, v2, v3
 
     def v(self, rho):
         return self.v_derivs(rho)[0]
 
+    @property
+    def _phi_star(self) -> float:
+        """phi(r_star), where the bridge's antiderivative starts."""
+        a = self.r_star
+        return a**2 - 2.0 * (a - 1.0) ** (self.k + 1) / (self.k + 1)
+
+    @property
+    def phi_outer(self) -> float:
+        """phi(rho) for every rho >= 2, where v vanishes."""
+        return self._phi_star + self.bridge.integral
+
     def phi(self, rho):
         """Antiderivative of v from 0, exact on every piece."""
         rho = np.asarray(rho, dtype=float)
         k = self.k
-        a = self.r_star
-        phi_star = a**2 - 2.0 * (a - 1.0) ** (k + 1) / (k + 1)
-        out = np.empty_like(rho)
-
-        m = rho <= 1.0
-        out[m] = rho[m] ** 2
-        m = (rho > 1.0) & (rho <= a)
-        out[m] = rho[m] ** 2 - 2.0 * (rho[m] - 1.0) ** (k + 1) / (k + 1)
-        m = (rho > a) & (rho < 2.0)
-        out[m] = phi_star + self.bridge(rho[m], (ANTIDERIVATIVE,))[0]
-        m = rho >= 2.0
-        out[m] = phi_star + self.bridge.integral
+        mid, bridge = self._pieces(rho)
+        out = np.where(rho <= 1.0, rho**2, self.phi_outer)
+        out[mid] = rho[mid] ** 2 - 2.0 * (rho[mid] - 1.0) ** (k + 1) / (k + 1)
+        out[bridge] = self._phi_star + self.bridge(rho[bridge], (ANTIDERIVATIVE,))[0]
         return out
 
     # --- r-space profile ---------------------------------------------------
@@ -239,15 +237,12 @@ class CutoffProfile:
         cancellation done analytically (both branches equal 2r there)."""
         rho = np.asarray(r, dtype=float) / self.R
         k = self.k
+        mid, bridge = self._pieces(rho)
         out = np.zeros_like(rho)
-        m = (rho > 1.0) & (rho <= self.r_star)
-        d = rho[m] - 1.0
-        out[m] = 2.0 * d ** (k - 1) * (k * rho[m] - d)
-        m = (rho > self.r_star) & (rho < 2.0)
-        if np.any(m):
-            t = rho[m]
-            v, v1 = self.bridge(t, (0, 1))
-            out[m] = v - t * v1
+        d = rho[mid] - 1.0
+        out[mid] = 2.0 * d ** (k - 1) * (k * rho[mid] - d)
+        v, v1 = self.bridge(rho[bridge], (0, 1))
+        out[bridge] = v - rho[bridge] * v1
         return self.R * out
 
     def bilaplacian_phi_R(self, r):
@@ -282,33 +277,48 @@ class CutoffProfile:
 
     # --- derived weights ---------------------------------------------------
 
-    def phi1(self, r):
-        """Phi_1,R(r) = 4(2 - partial_r phi_R / r); closed form per region
-        so the (rho-1)^k smallness near r=R is never lost to cancellation."""
+    def deficits(self, r):
+        """(a, c, dc/drho) at r for the deficits a = 2 - partial_r phi_R / r
+        and c = 2 - partial^2_r phi_R, whose slopes close the set: da/drho =
+        (c - a)/rho, dc/drho = -v''. Closed form per piece, so the (rho-1)^k
+        smallness near r = R is never lost to cancellation."""
         rho = np.asarray(r, dtype=float) / self.R
-        out = np.zeros_like(rho)
-        m = (rho > 1.0) & (rho <= self.r_star)
-        out[m] = 8.0 * (rho[m] - 1.0) ** self.k / rho[m]
-        m = (rho > self.r_star) & (rho < 2.0)
-        if np.any(m):
-            out[m] = 4.0 * (2.0 - self.bridge(rho[m], (0,))[0] / rho[m])
-        out[rho >= 2.0] = 8.0
-        return out
+        k = self.k
+        mid, bridge = self._pieces(rho)
+        a = np.where(rho >= 2.0, 2.0, 0.0)  # 0 for r <= R, 2 for r >= 2R
+        c, dc = a.copy(), np.zeros_like(a)
+        d = rho[mid] - 1.0
+        a[mid] = 2.0 * d**k / rho[mid]
+        c[mid] = 2.0 * k * d ** (k - 1)
+        dc[mid] = 2.0 * k * (k - 1) * d ** (k - 2)
+        v, v1, v2 = self.bridge(rho[bridge], (0, 1, 2))
+        a[bridge], c[bridge], dc[bridge] = 2.0 - v / rho[bridge], 2.0 - v1, -v2
+        return a, c, dc
+
+    def _weight2(self, a, c):
+        """Phi_2 from the deficits; the map is linear, so it also takes
+        their derivatives to Phi_2's."""
+        N, b = self.params.ndim, self.params.b
+        return (2.0 / (N + 2.0 - b)) * ((2.0 - b) * c + (2.0 * N - 2.0 + b) * a)
+
+    def phi1(self, r):
+        """Phi_1,R(r) = 4(2 - partial_r phi_R / r)."""
+        return 4.0 * self.deficits(r)[0]
 
     def phi2(self, r):
+        """Phi_2,R(r) = (2/(N+2-b)) ((2-b) c + (2N-2+b) a)."""
+        return self._weight2(*self.deficits(r)[:2])
+
+    def dphi2_pow(self, r, e: float):
+        """d/dr Phi_2^e at r in closed form, e Phi_2^(e-1) dPhi_2/dr; 0 where
+        Phi_2 = 0."""
         rho = np.asarray(r, dtype=float) / self.R
-        N, b, k = self.params.ndim, self.params.b, self.k
-        cN = N + 2.0 - b
-        out = np.zeros_like(rho)
-        m = (rho > 1.0) & (rho <= self.r_star)
-        d = rho[m] - 1.0
-        out[m] = (4.0 / cN) * d ** (k - 1) * (k * (2.0 - b) + (2.0 * N - 2.0 + b) * d / rho[m])
-        m = (rho > self.r_star) & (rho < 2.0)
-        if np.any(m):
-            t = rho[m]
-            v, v1 = self.bridge(t, (0, 1))
-            out[m] = (2.0 / cN) * ((2.0 - b) * (2.0 - v1) + (2.0 * N - 2.0 + b) * (2.0 - v / t))
-        out[rho >= 2.0] = 8.0 * N / cN
+        a, c, dc = self.deficits(r)
+        w = self._weight2(a, c)
+        out = np.zeros_like(w)
+        m = w > 0.0
+        dw = self._weight2((c[m] - a[m]) / rho[m], dc[m]) / self.R
+        out[m] = e * w[m] ** (e - 1.0) * dw
         return out
 
 
@@ -360,22 +370,10 @@ def verify_phicond(profile: CutoffProfile, samples: int) -> dict:
 
 def grad_weight_bound(profile: CutoffProfile, samples: int) -> float:
     """sup over r in (0, 4R] of R * |d/dr Phi_2^e| (e the dimension-dependent
-    exponent), by central differences on the smooth pieces."""
-    e = weight_exponent(profile.params)
-    R = profile.R
-    sup = 0.0
-    pieces = [(1.0, profile.r_star), (profile.r_star, 2.0), (2.0, 4.0)]
-    n = max(samples // 3, 100)
-    for lo, hi in pieces:
-        rho = np.linspace(lo, hi, n + 2)[1:-1]
-        if lo == 1.0:
-            rho = 1.0 + np.geomspace(1e-9, hi - 1.0, n, endpoint=False)
-        step = np.minimum(np.minimum(rho - lo, hi - rho) * 0.5, 1e-7)
-        wp = profile.phi2((rho + step) * R) ** e
-        wm = profile.phi2((rho - step) * R) ** e
-        deriv = (wp - wm) / (2.0 * step * R)  # d/dr in physical radius
-        sup = max(sup, float(np.max(R * np.abs(deriv))))
-    return sup
+    exponent), of the closed-form derivative at the rho samples."""
+    rho = _rho_samples(profile, samples)
+    deriv = profile.dphi2_pow(rho * profile.R, weight_exponent(profile.params))
+    return float(np.max(profile.R * np.abs(deriv)))
 
 
 @dataclass(frozen=True)
@@ -396,20 +394,23 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
     if c <= 0:
         raise InvariantError("constant c must be positive")
     q = 2.0 * weight_exponent(profile.params)
-    R = profile.R
 
     def ratio(prof, rho):
-        """(Phi_2^q / Phi_1, Phi_1, Phi_2^q) of prof at rho; the ratio is 0
-        where Phi_1 vanishes."""
-        p1 = prof.phi1(rho * prof.R)
-        p2 = prof.phi2(rho * prof.R)
-        bad = (p1 == 0.0) & (p2 > 0.0)
-        if np.any(bad):
+        """(Phi_2^q / Phi_1, Phi_1, Phi_2^q) of prof at rho, 0 where Phi_1
+        vanishes. On the middle piece (rho-1)^k can underflow where
+        (rho-1)^(k-1) does not, so the ratio there is red rho/(8(rho-1))
+        Phi_2^(q-1), red = Phi_2/(rho-1)^(k-1), the power from its log."""
+        deficits = prof.deficits(rho * prof.R)
+        p1, p2 = 4.0 * deficits[0], prof._weight2(*deficits[:2])
+        mid = prof._pieces(rho)[0]
+        if np.any(~mid & (p1 == 0.0) & (p2 > 0.0)):
             raise RuntimeError("Phi_1 vanishes where Phi_2 does not: broken construction")
         p2q = p2**q
-        out = np.zeros_like(p1)
-        m = p1 > 0.0
-        out[m] = p2q[m] / p1[m]
+        out = np.divide(p2q, p1, out=np.zeros_like(p1), where=~mid & (p1 > 0.0))
+        t, d = rho[mid], rho[mid] - 1.0
+        red = prof._weight2(2.0 * d / t, 2.0 * prof.k)
+        log_p2 = np.log(red) + (prof.k - 1) * np.log(d)
+        out[mid] = red * t / (8.0 * d) * np.exp((q - 1.0) * log_p2)
         return out, p1, p2q
 
     # one-sided probe of the removable 0/0 at r -> R+. The ratio behaves
@@ -447,7 +448,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
         raise RuntimeError(f"epsilon is not R-independent (spread {spread:.2e})")
 
     return EpsilonResult(
-        epsilon=eps, sup_ratio=sup_ratio, argmax_r=float(rho[i] * R), verified=verified
+        epsilon=eps, sup_ratio=sup_ratio, argmax_r=float(rho[i] * profile.R), verified=verified
     )
 
 

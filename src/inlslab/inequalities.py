@@ -22,8 +22,8 @@ WEIGHTS = ("paper_Phi2", "gaussian_bump", "constant")
 
 
 class RadialWeight:
-    """Nonnegative radial weight with closed-form (or closed-form-sampled)
-    derivative of its fractional powers."""
+    """Nonnegative radial weight with a closed-form derivative of its
+    fractional powers."""
 
     def __init__(self, kind: str, scale: float = 1.0, profile: CutoffProfile | None = None):
         if kind not in WEIGHTS:
@@ -49,11 +49,7 @@ class RadialWeight:
             return -(e * r / self.scale**2) * np.exp(-e * r**2 / (2.0 * self.scale**2))
         if self.kind == "constant":
             return np.zeros_like(r)
-        # Phi_2 is piecewise closed-form: central differences on a tiny step
-        step = 1e-7 * max(self.profile.R, 1.0)
-        return (self.profile.phi2(r + step) ** e - self.profile.phi2(np.maximum(r - step, 0.0)) ** e) / (
-            2.0 * step
-        )
+        return self.profile.dphi2_pow(r, e)
 
 
 @dataclass(frozen=True)

@@ -86,19 +86,21 @@ class GridWeights:
 
 class ProfileOnGrid:
     """The per-radius weights of the virial sums, from one profile
-    evaluation: phi_R flat over the whole grid, every other weight on the
-    support box |x_j| < 2R (box, one slice per axis). Outside the box those
-    weights are 0, except the K1 and K2 weights, which equal K1_tail and
-    K2_tail."""
+    evaluation on the support box |x_j| < 2R (box, one slice per axis):
+    phi_R flat over the whole grid, R^2 phi(2) outside the box, and every
+    other weight on the box alone. Outside the box those weights are 0,
+    except the K1 and K2 weights, which equal K1_tail and K2_tail."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
         N, b = gw.params.ndim, gw.params.b
         inside = np.flatnonzero(np.abs(gw.axis) < 2.0 * profile.R)
         lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
         self.box = (slice(lo, hi),) * N
-        self.phi_R = profile.phi_R(gw.r.ravel())
         r = gw.r[self.box]
-        _, self.dphi_over_r, d2phi, self.bilap = profile.virial_profile(r)
+        phi_R, self.dphi_over_r, d2phi, self.bilap = profile.virial_profile(r)
+        # every r outside the box is at least 2R, where phi is constant
+        self.phi_R = np.full(gw.r.size, profile.R**2 * profile.phi_outer)
+        self.phi_R.reshape(gw.r.shape)[self.box] = phi_R  # a view of the flat array
         # (d2/r^2 - dphi/r^3) = (d2phi - dphi/r)/r^2
         self.aniso = (d2phi - self.dphi_over_r) / r**2
         self.w_t4 = -d2phi - (N - 1.0 + b * N / (2.0 - b)) * self.dphi_over_r
@@ -134,6 +136,11 @@ class Densities:
     @cached_property
     def wup_total(self) -> float:
         return float(np.sum(self.wup))
+
+
+def mass_drift(mass, mass0: float):
+    """|mass / mass0 - 1|; 0 when mass0 = 0, as the zero field stays zero."""
+    return np.abs(mass / mass0 - 1.0) if mass0 > 0 else np.zeros_like(mass)
 
 
 def conservation(

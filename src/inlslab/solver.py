@@ -221,8 +221,7 @@ def run(
         pending = 0.0
         s = obs.sample(plan, Field(params, grid, u), gw, pgs, t, dt)
         series.append(s)
-        drift = abs(s.conservation.mass / mass0 - 1.0) if mass0 > 0 else 0.0
-        if drift > MASS_DRIFT_LIMIT:
+        if obs.mass_drift(s.conservation.mass, mass0) > MASS_DRIFT_LIMIT:
             return OUTCOME_INSTABILITY
         if step % (cfg.sample_stride * cfg.checkpoint_stride) == 0:
             checkpoint(t, f"{step:09d}")

@@ -26,17 +26,19 @@ def _ticks(lo, hi, n=5):
 
 
 def line_plot(path, series, title="", ylabel="", logy=False):
-    """series: list of (label, xs, ys, color)."""
-    pts = [
-        (x, y)
+    """series: list of (label, xs, ys, color). Points that are not finite,
+    or not positive on a log scale, are left out; with none left the plot
+    is its empty frame."""
+    kept = [
+        [
+            (x, math.log10(y) if logy else y)
+            for x, y in zip(xs, ys)
+            if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
+        ]
         for _, xs, ys, _ in series
-        for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
     ]
-    if not pts:
-        raise ValueError("nothing to plot")
-    xs_all = [p[0] for p in pts]
-    ys_all = [math.log10(p[1]) if logy else p[1] for p in pts]
+    xs_all = [x for pts in kept for x, _ in pts] or [0.0]
+    ys_all = [y for pts in kept for _, y in pts] or [0.0]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -72,17 +74,11 @@ def line_plot(path, series, title="", ylabel="", logy=False):
             f'<text x="{MARGIN - 6}" y="{sy(tv):.1f}" text-anchor="end" '
             f'font-size="10">{label}</text>'
         )
-    for i, (label, xs, ys, color) in enumerate(series):
-        coords = [
-            f"{sx(x):.2f},{sy(math.log10(y) if logy else y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
-        ]
-        if not coords:
+    for i, ((label, _, _, color), pts) in enumerate(zip(series, kept)):
+        if not pts:
             continue
-        parts.append(
-            f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.4"/>'
-        )
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.4"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN - 4}" y="{MARGIN + 14 * (i + 1)}" text-anchor="end" '
             f'font-size="11" fill="{color}">{label}</text>'

@@ -302,6 +302,19 @@ class TestSimulate:
         assert fd.size > 0
         assert man["tracked_concavity"]["2"] == np.mean(fd < 0.0)
 
+    def test_zero_amplitude_run(self, tmp_path):
+        # the zero field stays zero: no mass drift, and log plots with no
+        # positive value to draw
+        text = MINIMAL.replace("amplitude = 0.4", "amplitude = 0")
+        out = tmp_path / "zero"
+        cfg_path = self.write_cfg(tmp_path, text, "\n[emit]\nsvg = true\n")
+        assert main(["simulate", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["max_mass_drift"] == 0.0
+        assert sorted(p.name for p in out.glob("*.svg")) == [
+            "conservation_drift.svg", "gradnorm.svg", "zR_R2.svg", "zR_R4.svg",
+        ]
+
     @pytest.mark.parametrize("ndim,b,M", [(1, "0.5", 256), (2, "1.0", 64)])
     def test_alpha_check_closes_against_the_row_energy(self, tmp_path, ndim, b, M):
         text = MINIMAL.replace("N = 1", f"N = {ndim}").replace("b = 0.5", f"b = {b}")

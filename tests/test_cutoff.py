@@ -1,5 +1,6 @@
 """Localization weight construction and its pointwise certificates."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from scipy.interpolate import BPoly
 
 import inlslab
 
+from inlslab.cli import main
 from inlslab.core import InvariantError, ProblemParams
 from inlslab.cutoff import (
     ANTIDERIVATIVE,
@@ -24,6 +26,7 @@ from inlslab.cutoff import (
     k_lower_bounds,
     r_star,
     verify_phicond,
+    weight_exponent,
 )
 
 P1 = ProblemParams(1, 0.5)
@@ -263,13 +266,45 @@ class TestWeights:
             assert np.allclose(prof.phi2(rho * R), base.phi2(rho), rtol=1e-13)
 
 
+class TestDeficits:
+    def test_constant_off_the_transition(self):
+        prof = build_cutoff(5, 2.0, P1)
+        for r, value in ((np.linspace(0.0, 2.0, 100), 0.0), (np.linspace(4.0, 9.0, 100), 2.0)):
+            a, c, dc = prof.deficits(r)
+            assert np.all(a == value) and np.all(c == value) and np.all(dc == 0.0)
+
+    def test_phi1_is_the_middle_closed_form(self):
+        prof = build_cutoff(5, 1.0, P1)
+        rho = np.linspace(1.0, prof.r_star, 500)[1:]
+        assert np.array_equal(prof.phi1(rho), 8.0 * (rho - 1.0) ** 5 / rho)
+
+
 class TestGradWeightBound:
     def test_r_independence(self):
         vals = [grad_weight_bound(build_cutoff(5, R, P1), 10**4) for R in (1.0, 10.0, 100.0)]
-        assert (max(vals) - min(vals)) / max(vals) < 1e-6
+        assert (max(vals) - min(vals)) / max(vals) < 1e-12
 
     def test_finite_and_positive(self):
         assert 0.0 < grad_weight_bound(build_cutoff(5, 1.0, P1), 10**4) < np.inf
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("R", [1.0, 10.0])
+    def test_derivative_matches_central_differences(self, N, b, R):
+        p = ProblemParams(N, b)
+        prof = build_cutoff(default_k(p), R, p)
+        e = weight_exponent(p)
+        h = 1e-7 * R
+        for lo, hi in ((1.0, prof.r_star), (prof.r_star, 2.0)):
+            # the piece less a twentieth of it at each joint
+            gap = 0.05 * (hi - lo)
+            r = R * np.linspace(lo + gap, hi - gap, 400)
+            fd = (prof.phi2(r + h) ** e - prof.phi2(r - h) ** e) / (2.0 * h)
+            assert np.max(np.abs(prof.dphi2_pow(r, e) - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+    def test_derivative_vanishes_on_the_core(self):
+        prof = build_cutoff(5, 2.0, P1)
+        assert np.all(prof.dphi2_pow(np.linspace(0.0, 2.0, 100), weight_exponent(P1)) == 0.0)
 
 
 class TestEpsilon:
@@ -313,6 +348,15 @@ class TestEpsilon:
         prof = build_cutoff(5, 1.0, P1)
         with pytest.raises(InvariantError):
             find_epsilon(prof, 0.0, 10**4)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("b", [0.02, 0.05, 0.1])
+    def test_small_b_certifies(self, N, b, capsys):
+        # at the default k (21 to 201) (rho-1)^k underflows to 0 where
+        # (rho-1)^(k-1) does not; the ratio must not read that as Phi_1 = 0
+        assert main(["cutoff-verify", "--N", str(N), "--b", str(b), "--samples", "10000"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["phicond_passed"] and rep["phivare_passed"] and rep["epsilon"] > 0.0
 
 
 class TestBilaplacian:

@@ -31,9 +31,10 @@ class TestRadialWeight:
         with pytest.raises(InvariantError):
             RadialWeight("paper_Phi2")
 
-    @pytest.mark.parametrize("kind,scale", [("gaussian_bump", 2.0)])
+    @pytest.mark.parametrize("kind,scale", [("gaussian_bump", 2.0), ("paper_Phi2", 2.0)])
     def test_dpow_matches_finite_difference(self, kind, scale):
-        w = RadialWeight(kind, scale)
+        # the paper weight's profile has R = scale
+        w = RadialWeight(kind, scale, build_cutoff(default_k(P1), scale, P1))
         r = np.linspace(0.1, 8.0, 200)
         e = 2.0 / 3.0
         step = 1e-6

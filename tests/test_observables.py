@@ -322,21 +322,24 @@ def outside_box(pg, shape):
 
 
 def test_profile_on_grid_arrays_match_profile(grid, gw):
-    prof = build_cutoff(5, 2.0, PARAMS)
-    pg = ProfileOnGrid(prof, gw)
-    # the box is the index range of the cell centres with |x| < 2R
-    x = grid.axis_coords()
-    inside = np.zeros(grid.size, dtype=bool)
-    inside[pg.box] = True
-    assert np.array_equal(inside, np.abs(x) < 2.0 * prof.R)
-    assert np.array_equal(pg.phi_R, prof.phi_R(gw.r.ravel()))
-    outside = outside_box(pg, grid.shape)
-    assert outside.any()
-    tails = {"w_K1": pg.K1_tail, "w_K2": pg.K2_tail}
-    for name, w in direct_weights(prof, gw).items():
-        assert np.array_equal(getattr(pg, name), w[pg.box]), name
-        # exactly 0, or the constant tail, outside the box
-        assert np.all(w[outside] == tails.get(name, 0.0)), name
+    # a box inside the grid, an empty box (2R under the first cell centre)
+    # and a box that holds the whole grid
+    for R, held in ((2.0, 410), (1e-3, 0), (20.0, grid.size)):
+        prof = build_cutoff(5, R, PARAMS)
+        pg = ProfileOnGrid(prof, gw)
+        # the box is the index range of the cell centres with |x| < 2R
+        x = grid.axis_coords()
+        inside = np.zeros(grid.size, dtype=bool)
+        inside[pg.box] = True
+        assert np.array_equal(inside, np.abs(x) < 2.0 * prof.R)
+        assert np.count_nonzero(inside) == held
+        assert np.array_equal(pg.phi_R, prof.phi_R(gw.r.ravel()))
+        outside = outside_box(pg, grid.shape)
+        tails = {"w_K1": pg.K1_tail, "w_K2": pg.K2_tail}
+        for name, w in direct_weights(prof, gw).items():
+            assert np.array_equal(getattr(pg, name), w[pg.box]), name
+            # exactly 0, or the constant tail, outside the box
+            assert np.all(w[outside] == tails.get(name, 0.0)), name
 
 
 @pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64), (3, 0.5, 16)])
