@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import glob
 import json
 import os
 import sys
@@ -155,12 +154,25 @@ def parse_config(text: str) -> ExperimentConfig:
         errs.append("[cutoff] R values must be positive and finite")
     if list(cfg.cutoff_R) != sorted(cfg.cutoff_R):
         errs.append("[cutoff] R values must be sorted ascending")
+    clash = _clash(cfg.cutoff_R, lambda R: f"series_R{R:g}.csv")
+    if clash:
+        errs.append(f"[cutoff] R values must write distinct files: {clash}")
     if cfg.emit_svg and not cfg.emit_csv:
         errs.append("[emit] svg = true needs csv = true: the plots are drawn from the series CSVs")
 
     if errs:
         raise ConfigError(errs)
     return cfg
+
+
+def _clash(values, name) -> str:
+    """The first two values with the same name(value), as text; "" if none."""
+    seen = {}
+    for v in values:
+        if name(v) in seen:
+            return f"{seen[name(v)]!r} and {v!r} both name {name(v)}"
+        seen[name(v)] = v
+    return ""
 
 
 def _fmt(x) -> str:
@@ -240,6 +252,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
     experiment becomes an error row, and the sweep returns 1 if any did."""
     if axis not in SWEEP_AXES:
         raise InvariantError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}, not {axis!r}")
+    clash = _clash(values, lambda v: f"{axis}_{v:g}")
+    if clash:
+        raise InvariantError(f"--values must name distinct runs: {clash}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     failed = False
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
@@ -254,8 +269,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
                 fh.write(f"{_fmt(float(value))},error,nan,nan,nan\n")
                 failed = True
                 continue
-            with open(os.path.join(sub, "manifest.json")) as mf:
-                man = json.load(mf)
+            man = read_manifest(sub)
             fh.write(
                 f"{_fmt(float(value))},{man['outcome']},{_fmt(man['t_end'])},"
                 f"{_fmt(man['E0'])},{_fmt(man['alpha_summary']['mean'])}\n"
@@ -283,11 +297,30 @@ def _drifts(mass, energy):
     return obs.mass_drift(mass, mass[0]), np.abs(energy - energy[0]) / max(abs(energy[0]), 1e-30)
 
 
+def read_manifest(run_dir: str) -> dict:
+    """The manifest.json simulate wrote in run_dir, a JSON object with at least
+    cutoff_k, cutoff_R and files: readers open only the files it lists."""
+    path = os.path.join(run_dir, "manifest.json")
+    with open(path) as fh:
+        try:
+            man = json.load(fh)
+        except ValueError as exc:
+            raise InvariantError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(man, dict) or not {"cutoff_k", "cutoff_R", "files"} <= man.keys():
+        raise InvariantError(f"{path} has no cutoff_k/cutoff_R/files; rerun simulate")
+    return man
+
+
+def _listed(run_dir, man, suffix):
+    """Paths of the files the manifest lists whose names end in suffix."""
+    return [os.path.join(run_dir, name) for name in man["files"] if name.endswith(suffix)]
+
+
 def plot(run_dir: str) -> int:
-    csvs = sorted(glob.glob(os.path.join(run_dir, "series_R*.csv")))
+    csvs = _listed(run_dir, read_manifest(run_dir), ".csv")
     if not csvs:
-        raise FileNotFoundError(f"no series CSVs in {run_dir}")
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
+        raise FileNotFoundError(f"{run_dir}/manifest.json lists no series CSVs")
+    colors = ["#1f77b4", "#d62728"]
     tables = [_read_csv(path) for path in csvs]
     for path, rows in zip(csvs, tables):
         if rows.shape[0] == 0:
@@ -296,13 +329,12 @@ def plot(run_dir: str) -> int:
     t = rows0[:, COLUMN["t"]]
 
     mass_drift, energy_drift = _drifts(rows0[:, COLUMN["mass"]], rows0[:, COLUMN["energy"]])
-    drift_series = [
-        ("mass drift", t, mass_drift + 1e-18, colors[0]),
-        ("energy drift", t, energy_drift + 1e-18, colors[1]),
-    ]
     line_plot(
         os.path.join(run_dir, "conservation_drift.svg"),
-        drift_series,
+        [
+            ("mass drift", t, mass_drift + 1e-18, colors[0]),
+            ("energy drift", t, energy_drift + 1e-18, colors[1]),
+        ],
         title="relative conservation drift",
         ylabel="relative drift",
         logy=True,
@@ -310,16 +342,12 @@ def plot(run_dir: str) -> int:
 
     for path, rows in zip(csvs, tables):
         tag = os.path.basename(path)[len("series_") : -len(".csv")]
+        t_R = rows[:, COLUMN["t"]]
         line_plot(
             os.path.join(run_dir, f"zR_{tag}.svg"),
             [
-                ("z_R", rows[:, COLUMN["t"]], rows[:, COLUMN["zR"]], colors[0]),
-                (
-                    "second difference",
-                    rows[:, COLUMN["t"]],
-                    rows[:, COLUMN["zR_second_fd"]],
-                    colors[1],
-                ),
+                ("z_R", t_R, rows[:, COLUMN["zR"]], colors[0]),
+                ("second difference", t_R, rows[:, COLUMN["zR_second_fd"]], colors[1]),
             ],
             title=f"localized virial, {tag}",
         )
@@ -338,31 +366,30 @@ def virial_audit(run_dir: str) -> dict:
     stored CSV rows at matching times, in every column one checkpoint
     reproduces (all but dt and zR_second_fd). Fails when nothing was checked
     or when a checkpoint has no row at its time (unmatched, per radius)."""
-    path = os.path.join(run_dir, "manifest.json")
-    with open(path) as fh:
-        try:
-            man = json.load(fh)
-        except ValueError as exc:
-            raise InvariantError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(man, dict) or "cutoff_k" not in man or "cutoff_R" not in man:
-        raise InvariantError(f"{path} has no cutoff_k/cutoff_R; rerun simulate")
+    man = read_manifest(run_dir)
     k, R_values = man["cutoff_k"], man["cutoff_R"]
-    ckpts = sorted(glob.glob(os.path.join(run_dir, "checkpoints", "ckpt_*.bin")))
+    ckpts = _listed(run_dir, man, ".bin")
     if not ckpts:
-        raise FileNotFoundError(f"no checkpoints in {run_dir}")
+        raise FileNotFoundError(f"no checkpoints listed in {run_dir}/manifest.json")
 
-    csv_rows = {R: _read_csv(os.path.join(run_dir, f"series_R{R:g}.csv")) for R in R_values}
+    names = {R: f"series_R{R:g}.csv" for R in R_values}
+    if not set(names.values()) <= set(man["files"]):
+        raise FileNotFoundError(f"{run_dir}/manifest.json does not list every series CSV")
+    csv_rows = {R: _read_csv(os.path.join(run_dir, name)) for R, name in names.items()}
     audited = [c for c in obs.CSV_COLUMNS if c not in ("dt", "zR_second_fd")]
 
     checked = unmatched = 0
     max_err = 0.0
-    plan = None
+    first = None  # (grid, params) of the first checkpoint
     for path in ckpts:
         f, t = read_checkpoint(path)
-        if plan is None:
+        if first is None:
+            first = (f.grid, f.params)
             plan = SpectralPlan(f.grid)
             gw = obs.GridWeights(f.grid, f.params)
             pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in R_values}
+        elif (f.grid, f.params) != first:
+            raise InvariantError(f"{path} is not on the grid and b of {ckpts[0]}")
         s = obs.sample(plan, f, gw, pgs, t, float("nan"))
         for R in R_values:
             rows = csv_rows[R]
@@ -377,8 +404,9 @@ def virial_audit(run_dir: str) -> dict:
                 if np.isnan(val) and np.isnan(ref):
                     continue
                 err = abs(val - ref) / max(1.0, abs(ref))
-                # NaN on one side only is a mismatch
-                max_err = max(max_err, np.inf if np.isnan(err) else err)
+                # NaN on one side only is a mismatch. A Python float keeps
+                # max_err, and so passed, serializable (np.bool_ is not)
+                max_err = max(max_err, np.inf if np.isnan(err) else float(err))
             checked += 1
     passed = checked > 0 and unmatched == 0 and max_err <= AUDIT_REL_TOL
     return {"checked": checked, "unmatched": unmatched, "max_rel_err": max_err, "passed": passed}
@@ -474,20 +502,13 @@ def main(argv=None) -> int:
             case = IneqCase(args.which, params, grid, RadialWeight("gaussian_bump", 3.0))
             est = estimate_constant(case, args.trials, args.seed)
             hist, edges = np.histogram(est.ratios, bins=20)
-            print(
-                json.dumps(
-                    {
-                        "c_hat": est.c_hat,
-                        "argmax_descriptor": est.argmax,
-                        "ratio_histogram": {
-                            "counts": hist.tolist(),
-                            "edges": edges.tolist(),
-                        },
-                        "note": "empirical constant over a seeded family, not a proof",
-                    },
-                    indent=2,
-                )
-            )
+            report = {
+                "c_hat": est.c_hat,
+                "argmax_descriptor": est.argmax,
+                "ratio_histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
+                "note": "empirical constant over a seeded family, not a proof",
+            }
+            print(json.dumps(report, indent=2))
             return 0
 
         if args.command == "virial-audit":

@@ -358,14 +358,8 @@ def _rho_samples(profile: CutoffProfile, n: int) -> np.ndarray:
 def verify_phicond(profile: CutoffProfile, samples: int) -> dict:
     """Checks partial_r phi_R - r partial^2_r phi_R >= 0 over (0, 4R]."""
     rho = _rho_samples(profile, samples)
-    vals = profile.phicond_expr(rho * profile.R)
-    i = int(np.argmin(vals))
-    return {
-        "min": float(vals[i]),
-        "argmin_r": float(rho[i] * profile.R),
-        "samples": int(rho.size),
-        "passed": bool(vals[i] >= -PHICOND_SLACK),
-    }
+    low = float(np.min(profile.phicond_expr(rho * profile.R)))
+    return {"min": low, "passed": low >= -PHICOND_SLACK}
 
 
 def grad_weight_bound(profile: CutoffProfile, samples: int) -> float:
@@ -380,7 +374,6 @@ def grad_weight_bound(profile: CutoffProfile, samples: int) -> float:
 class EpsilonResult:
     epsilon: float
     sup_ratio: float
-    argmax_r: float
     verified: bool
 
 
@@ -430,8 +423,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
     rho = _rho_samples(profile, samples)
     rho = rho[rho > 1.0 + 1e-6]
     vals, p1, p2q = ratio(profile, rho)
-    i = int(np.argmax(vals))
-    sup_ratio = float(vals[i])
+    sup_ratio = float(np.max(vals))
     eps = 1.0 / (2.0 * c * sup_ratio)
 
     # pointwise recheck of the claimed inequality on the same dense grid
@@ -447,9 +439,7 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
     if spread > 1e-6:
         raise RuntimeError(f"epsilon is not R-independent (spread {spread:.2e})")
 
-    return EpsilonResult(
-        epsilon=eps, sup_ratio=sup_ratio, argmax_r=float(rho[i] * profile.R), verified=verified
-    )
+    return EpsilonResult(epsilon=eps, sup_ratio=sup_ratio, verified=verified)
 
 
 def bilaplacian_sup(profile: CutoffProfile, samples: int) -> float:

@@ -8,7 +8,7 @@ stand-in for the analytic implicit constants and is labeled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy import fft as _fft
@@ -18,7 +18,7 @@ from .cutoff import CutoffProfile, weight_exponent
 from .spectral import SpectralPlan
 
 WHICH = ("interp1", "interp2", "otn1", "gn")
-WEIGHTS = ("paper_Phi2", "gaussian_bump", "constant")
+WEIGHTS = ("paper_Phi2", "gaussian_bump")
 
 
 class RadialWeight:
@@ -38,8 +38,6 @@ class RadialWeight:
         r = np.asarray(r, dtype=float)
         if self.kind == "gaussian_bump":
             return np.exp(-(r**2) / (2.0 * self.scale**2))
-        if self.kind == "constant":
-            return np.full_like(r, self.scale)
         return self.profile.phi2(r)
 
     def dpow(self, r, e: float):
@@ -47,54 +45,46 @@ class RadialWeight:
         r = np.asarray(r, dtype=float)
         if self.kind == "gaussian_bump":
             return -(e * r / self.scale**2) * np.exp(-e * r**2 / (2.0 * self.scale**2))
-        if self.kind == "constant":
-            return np.zeros_like(r)
         return self.profile.dphi2_pow(r, e)
 
 
-@dataclass(frozen=True)
 class IneqCase:
     """One inequality on one grid with one weight, validated when built.
     Construction also builds, once for all trials, the spectral plan and
     the factors that do not depend on the field: w, (d/dr w^e)^2 and w^2e
-    on the grid, plus w^(e/2) for otn1; all None for gn, which is
-    unweighted."""
+    on the grid, plus w^(e/2) for otn1. gn is unweighted: it ignores a
+    weight and its factors stay None."""
 
-    which: str
-    params: ProblemParams
-    grid: Grid
-    weight: RadialWeight = dc_field(default_factory=lambda: RadialWeight("constant"))
-    plan: SpectralPlan = dc_field(init=False, compare=False, repr=False)
-    w: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
-    dpow2: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
-    w2e: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
-    w_half_e: np.ndarray | None = dc_field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.which not in WHICH:
-            raise InvariantError(f"unknown inequality {self.which!r}")
-        if self.which == "interp1" and self.params.ndim == 2:
+    def __init__(
+        self, which: str, params: ProblemParams, grid: Grid, weight: RadialWeight | None = None
+    ):
+        if which not in WHICH:
+            raise InvariantError(f"unknown inequality {which!r}")
+        if which == "interp1" and params.ndim == 2:
             raise InvariantError("interp1 applies for N != 2")
-        if self.which == "interp2" and self.params.ndim != 2:
+        if which == "interp2" and params.ndim != 2:
             raise InvariantError("interp2 requires N=2")
-        if self.which == "otn1" and self.params.ndim != 1:
+        if which == "otn1" and params.ndim != 1:
             raise InvariantError("otn1 requires N=1")
-        if self.params.ndim != self.grid.ndim:
-            raise InvariantError(f"N={self.params.ndim} params on an N={self.grid.ndim} grid")
-        built = dict(plan=SpectralPlan(self.grid), w=None, dpow2=None, w2e=None, w_half_e=None)
-        if self.which != "gn":
-            r = self.grid.radii()
-            w = built["w"] = self.weight.w(r)
-            if np.any(w < 0):
-                raise InvariantError("weight must be nonnegative")
-            e = weight_exponent(self.params)
-            built["dpow2"] = self.weight.dpow(r, e) ** 2
-            # formed after dpow's temporaries are freed, so peak memory stays put
-            built["w2e"] = w ** (2 * e)
-            if self.which == "otn1":
-                built["w_half_e"] = w ** (e / 2.0)
-        for name, value in built.items():
-            object.__setattr__(self, name, value)
+        if params.ndim != grid.ndim:
+            raise InvariantError(f"N={params.ndim} params on an N={grid.ndim} grid")
+        if which != "gn" and weight is None:
+            raise InvariantError(f"{which} needs a weight")
+        self.which, self.params, self.grid, self.weight = which, params, grid, weight
+        self.plan = SpectralPlan(grid)
+        self.w = self.dpow2 = self.w2e = self.w_half_e = None
+        if which == "gn":
+            return
+        r = grid.radii()
+        w = self.w = weight.w(r)
+        if np.any(w < 0):
+            raise InvariantError("weight must be nonnegative")
+        e = weight_exponent(params)
+        self.dpow2 = weight.dpow(r, e) ** 2
+        # formed after dpow's temporaries are freed, so peak memory stays put
+        self.w2e = w ** (2 * e)
+        if which == "otn1":
+            self.w_half_e = w ** (e / 2.0)
 
 
 def _quad(grid: Grid, arr) -> float:

@@ -172,14 +172,11 @@ def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     return u * _unit_phasor(dt * rate), float(np.max(rate))
 
 
-def strang_step(
-    plan: SpectralPlan, f: Field, dt: float, potential: np.ndarray | None = None
-) -> Field:
-    """free(dt/2) o phase(dt) o free(dt/2)."""
+def strang_step(plan: SpectralPlan, f: Field, dt: float, potential: np.ndarray) -> Field:
+    """free(dt/2) o phase(dt) o free(dt/2), potential as in _phase_step.
+    run merges adjacent half-steps instead; this is its reference."""
     if dt <= 0:
         raise InvariantError("dt must be positive")
-    if potential is None:
-        potential = obs.GridWeights(f.grid, f.params).w_b
     u = plan.free_propagate_array(f.values, 0.5 * dt)
     u, _ = _phase_step(u, dt, potential, f.params.sigma)
     u = plan.free_propagate_array(u, 0.5 * dt)

@@ -66,7 +66,9 @@ def _floats(lo, hi):
 
 
 def _float_lists(lo, hi, sort=False):
-    lists = st.lists(st.floats(lo, hi), min_size=1, max_size=3)
+    # sorted lists are R values, whose {:g} names must be distinct
+    unique_by = (lambda x: f"{x:g}") if sort else None
+    lists = st.lists(st.floats(lo, hi), min_size=1, max_size=3, unique_by=unique_by)
     return lists.map(lambda xs: ",".join(repr(x) for x in (sorted(xs) if sort else xs)))
 
 
@@ -202,6 +204,17 @@ class TestParseConfig:
     def test_unsorted_R_rejected(self):
         with pytest.raises(ConfigError, match="sorted"):
             parse_config(MINIMAL.replace("R = 2,4", "R = 4,2"))
+
+    @pytest.mark.parametrize(
+        "R, clash",
+        [("2,2", "2.0 and 2.0 both name series_R2.csv"),
+         ("1.0000001,1.0000002", "1.0000001 and 1.0000002 both name series_R1.csv")],
+    )
+    def test_R_values_with_one_file_name_rejected(self, R, clash):
+        # each R writes series_R{R:g}.csv; a repeated name would overwrite one
+        with pytest.raises(ConfigError, match="distinct files") as exc:
+            parse_config(MINIMAL.replace("R = 2,4", f"R = {R}"))
+        assert clash in str(exc.value)
 
     def test_svg_without_csv_is_an_error(self):
         with pytest.raises(ConfigError) as exc:
@@ -542,6 +555,17 @@ class TestSweepPlotAudit:
         assert "'abc'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_values_with_one_run_name_are_a_clean_error(self, tmp_path, capsys):
+        # both would run into amplitude_0.3, the second overwriting the first
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = tmp_path / "sw"
+        values = "0.2,0.3000001,0.3000002"
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "amplitude", "--values", values]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert "0.3000001 and 0.3000002 both name amplitude_0.3" in capsys.readouterr().err
+        assert not out.exists()
+
     def simulate_with_checkpoints(self, tmp_path, text=MINIMAL):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text + "\n[emit]\ncheckpoints = true\n")
@@ -550,18 +574,74 @@ class TestSweepPlotAudit:
         return out
 
     def test_audit_fails_when_no_checkpoint_matches(self, tmp_path):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(MINIMAL)
-        out = str(tmp_path / "run")
-        assert main(["simulate", "--config", str(cfg_path), "--out-dir", out]) == 0
-        # the only checkpoint is at a time no row has
-        os.makedirs(os.path.join(out, "checkpoints"))
+        out = self.simulate_with_checkpoints(tmp_path)
+        # one listed checkpoint now holds a field at a time no row has
         grid = Grid(1, 10.0, 256)
         f = Field(ProblemParams(1, 0.5), grid, np.exp(-grid.radii() ** 2))
-        write_checkpoint(os.path.join(out, "checkpoints", "ckpt_x.bin"), f, t=0.0123)
+        write_checkpoint(os.path.join(out, "checkpoints", "ckpt_000000010.bin"), f, t=0.0123)
         report = virial_audit(out)
-        assert (report["checked"], report["unmatched"], report["passed"]) == (0, 2, False)
+        # six listed checkpoints, two radii: the other five still match
+        assert (report["checked"], report["unmatched"], report["passed"]) == (10, 2, False)
         assert main(["virial-audit", out]) == 2
+
+    def rerun_into_used_dir(self, tmp_path, second):
+        """A run with radii 1 and 2, then a run changed by second (old, new
+        pairs) into the same directory; returns it and its manifest."""
+        text = MINIMAL.replace("sample_stride = 5", "sample_stride = 2")
+        first = self.simulate_with_checkpoints(tmp_path, text.replace("R = 2,4", "R = 1,2"))
+        for old, new in second:
+            text = text.replace(old, new)
+        assert self.simulate_with_checkpoints(tmp_path, text) == first
+        with open(os.path.join(first, "manifest.json")) as fh:
+            return first, json.load(fh)
+
+    def test_rerun_with_fewer_radii_and_steps_is_audited_alone(self, tmp_path):
+        # the first run leaves series_R2.csv and the checkpoints of steps 12-20
+        out, man = self.rerun_into_used_dir(
+            tmp_path, [("t_max = 0.02", "t_max = 0.01"), ("R = 2,4", "R = 1")]
+        )
+        ckpts = [name for name in man["files"] if name.endswith(".bin")]
+        assert len(ckpts) == 7 and len(os.listdir(os.path.join(out, "checkpoints"))) == 12
+        report = virial_audit(out)
+        assert (report["checked"], report["unmatched"], report["passed"]) == (7, 0, True)
+        assert main(["virial-audit", out]) == 0
+        assert main(["plot", out]) == 0
+        assert sorted(n for n in os.listdir(out) if n.startswith("zR_")) == ["zR_R1.svg"]
+
+    def test_rerun_on_another_grid_is_audited_alone(self, tmp_path):
+        # the first run's checkpoints past step 10 are left on a 256-point grid
+        out, _man = self.rerun_into_used_dir(
+            tmp_path, [("M = 256", "M = 128"), ("t_max = 0.02", "t_max = 0.01")]
+        )
+        report = virial_audit(out)
+        assert (report["checked"], report["unmatched"], report["passed"]) == (14, 0, True)
+
+    def test_listed_checkpoint_on_another_grid_is_a_clean_error(self, tmp_path, capsys):
+        out = self.simulate_with_checkpoints(tmp_path)
+        path = os.path.join(out, "checkpoints", "ckpt_000000010.bin")
+        f, t = read_checkpoint(path)
+        grid = Grid(1, 10.0, 128)
+        write_checkpoint(path, Field(f.params, grid, np.exp(-grid.radii() ** 2)), t=t)
+        assert main(["virial-audit", out]) == 1
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor, code", [(1.0 + 4e-16, 0), (1.0 + 1e-6, 2)])
+    def test_audit_reports_a_perturbed_cell(self, tmp_path, capsys, factor, code):
+        # once a TypeError traceback whenever an error was nonzero: np.bool_
+        # does not serialize
+        out = self.simulate_with_checkpoints(tmp_path)
+        path = os.path.join(out, "series_R2.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        cells = lines[1].split(",")  # the row at t = 0, which a checkpoint holds
+        cells[2] = format(float(cells[2]) * factor, ".17g")  # the mass
+        lines[1] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        assert main(["virial-audit", out]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is (code == 0)
+        assert 0.0 < report["max_rel_err"] < (1e-12 if code == 0 else 1e-5)
 
     def test_audit_of_header_only_csvs_fails_cleanly(self, tmp_path):
         out = self.simulate_with_checkpoints(tmp_path)

@@ -16,6 +16,19 @@ P1 = ProblemParams(1, 0.5)
 GRID1 = Grid(1, 12.0, 512)
 
 
+class ConstantWeight:
+    """A constant weight c, with the two methods IneqCase reads."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def w(self, r):
+        return np.full_like(r, self.c)
+
+    def dpow(self, r, e):
+        return np.zeros_like(r)
+
+
 def gaussian(grid, scale=1.0, shift=0.0, mod=0.0):
     xs = grid.coords()
     r2 = (xs[0] - shift) ** 2 + sum(x**2 for x in xs[1:])
@@ -47,12 +60,6 @@ class TestRadialWeight:
         r = np.linspace(0.5, 6.0, 50)
         assert np.array_equal(w.w(r), prof.phi2(r))
 
-    def test_constant_weight_has_zero_derivative(self):
-        w = RadialWeight("constant", 2.5)
-        r = np.linspace(0.0, 5.0, 20)
-        assert np.all(w.w(r) == 2.5)
-        assert np.all(w.dpow(r, 0.7) == 0.0)
-
 
 class TestCaseValidation:
     def test_interp2_requires_dimension_two(self):
@@ -77,6 +84,16 @@ class TestCaseValidation:
         with pytest.raises(InvariantError):
             IneqCase("hardy", P1, GRID1)
 
+    @pytest.mark.parametrize("which", ["interp1", "otn1"])
+    def test_weighted_inequality_needs_a_weight(self, which):
+        with pytest.raises(InvariantError, match=f"{which} needs a weight"):
+            IneqCase(which, P1, GRID1)
+
+    def test_gn_ignores_a_weight(self):
+        # the CLI passes its Gaussian bump for every inequality
+        case = IneqCase("gn", P1, GRID1, RadialWeight("gaussian_bump", 3.0))
+        assert case.w is None and case.dpow2 is None
+
 
 class TestLhsRhs:
     def test_zero_field_gives_zero_sides(self):
@@ -86,13 +103,13 @@ class TestLhsRhs:
             assert lhs == 0.0 and rhs == 0.0
 
     def test_zero_weight_kills_interp1(self):
-        case = IneqCase("interp1", P1, GRID1, RadialWeight("constant", 0.0))
+        case = IneqCase("interp1", P1, GRID1, ConstantWeight(0.0))
         lhs, rhs = lhs_rhs(case, Field(P1, GRID1, gaussian(GRID1)))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvariantError):
-            IneqCase("interp1", P1, GRID1, RadialWeight("constant", -1.0))
+        with pytest.raises(InvariantError, match="nonnegative"):
+            IneqCase("interp1", P1, GRID1, ConstantWeight(-1.0))
 
     def test_homogeneity_of_interp1(self):
         # both sides scale as lambda^p under f -> lambda f

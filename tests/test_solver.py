@@ -134,7 +134,7 @@ class TestStrangStep:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(InvariantError):
-            strang_step(PLAN, gaussian_field(), 0.0)
+            strang_step(PLAN, gaussian_field(), 0.0, potential=GridWeights(GRID, PARAMS).w_b)
 
     def test_mass_drift_over_many_steps(self):
         f = gaussian_field(amplitude=0.6)
@@ -380,8 +380,9 @@ class TestRun:
         assert rep.series[1].dt == dt0  # the CFL bound never bound
         stepped, _ = read_checkpoint(tmp_path / f"ckpt_{k:09d}.bin")
         f = realize(init, PARAMS, GRID)
+        pot = GridWeights(GRID, PARAMS).w_b
         for _ in range(k):
-            f = strang_step(PLAN, f, dt0)
+            f = strang_step(PLAN, f, dt0, potential=pot)
         assert np.max(np.abs(stepped.values - f.values)) <= 1e-13
 
     def test_final_checkpoint_matches_reference_strang_steps(self, tmp_path):
@@ -395,8 +396,9 @@ class TestRun:
         assert all(s.dt == dt0 for s in rep.series)  # the CFL bound never bound
         stepped, _ = read_checkpoint(tmp_path / "ckpt_final.bin")
         f = realize(init, PARAMS, GRID)
+        pot = GridWeights(GRID, PARAMS).w_b
         for _ in range(steps):
-            f = strang_step(PLAN, f, dt0)
+            f = strang_step(PLAN, f, dt0, potential=pot)
         assert np.max(np.abs(stepped.values - f.values)) <= 1e-13
 
     def test_dimension_mismatch_is_rejected(self):
