@@ -154,7 +154,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errs.append("[cutoff] R values must be positive and finite")
     if list(cfg.cutoff_R) != sorted(cfg.cutoff_R):
         errs.append("[cutoff] R values must be sorted ascending")
-    clash = _clash(cfg.cutoff_R, lambda R: f"series_R{R:g}.csv")
+    clash = _clash(cfg.cutoff_R, series_csv_name)
     if clash:
         errs.append(f"[cutoff] R values must write distinct files: {clash}")
     if cfg.emit_svg and not cfg.emit_csv:
@@ -179,6 +179,11 @@ def _fmt(x) -> str:
     return format(x, ".17g")  # round-trips every float; NaN prints as nan
 
 
+def series_csv_name(R) -> str:
+    """The file name of the series CSV of radius R in a run directory."""
+    return f"series_R{R:g}.csv"
+
+
 def write_series_csv(path, report, R):
     fd = report.zR_second_fd(R)
     with open(path, "w", newline="") as fh:
@@ -199,7 +204,7 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     files = []
     if cfg.emit_csv:
         for R in cfg.cutoff_R:
-            name = f"series_R{R:g}.csv"
+            name = series_csv_name(R)
             write_series_csv(os.path.join(cfg.out_dir, name), report, R)
             files.append(name)
     files.extend(os.path.relpath(p, cfg.out_dir) for p in report.checkpoints)
@@ -298,8 +303,8 @@ def _drifts(mass, energy):
 
 
 def read_manifest(run_dir: str) -> dict:
-    """The manifest.json simulate wrote in run_dir, a JSON object with at least
-    cutoff_k, cutoff_R and files: readers open only the files it lists."""
+    """The manifest.json simulate wrote in run_dir, checked for the cutoff_k,
+    cutoff_R and files its readers use: they open only the files it lists."""
     path = os.path.join(run_dir, "manifest.json")
     with open(path) as fh:
         try:
@@ -308,24 +313,36 @@ def read_manifest(run_dir: str) -> dict:
             raise InvariantError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(man, dict) or not {"cutoff_k", "cutoff_R", "files"} <= man.keys():
         raise InvariantError(f"{path} has no cutoff_k/cutoff_R/files; rerun simulate")
+    k, radii, files = man["cutoff_k"], man["cutoff_R"], man["files"]
+    # type(), not isinstance: JSON true and false load as bools, which are ints
+    if type(k) is not int:
+        raise InvariantError(f"{path}: cutoff_k must be an integer, not {k!r}")
+    valid = type(radii) is list and all(type(R) in (int, float) and 0 < R < np.inf for R in radii)
+    if not (valid and radii):
+        raise InvariantError(f"{path}: cutoff_R must list positive finite numbers, not {radii!r}")
+    if type(files) is not list or not all(type(name) is str for name in files):
+        raise InvariantError(f"{path}: files must be a list of file names, not {files!r}")
     return man
 
 
-def _listed(run_dir, man, suffix):
-    """Paths of the files the manifest lists whose names end in suffix."""
-    return [os.path.join(run_dir, name) for name in man["files"] if name.endswith(suffix)]
+def _series_csvs(run_dir, man) -> dict:
+    """R -> the path of its series CSV, for each R in the manifest's
+    cutoff_R; FileNotFoundError when the manifest does not list one."""
+    names = {R: series_csv_name(R) for R in man["cutoff_R"]}
+    missing = [name for name in names.values() if name not in man["files"]]
+    if missing:
+        raise FileNotFoundError(f"{run_dir}/manifest.json does not list {missing[0]}")
+    return {R: os.path.join(run_dir, name) for R, name in names.items()}
 
 
 def plot(run_dir: str) -> int:
-    csvs = _listed(run_dir, read_manifest(run_dir), ".csv")
-    if not csvs:
-        raise FileNotFoundError(f"{run_dir}/manifest.json lists no series CSVs")
-    colors = ["#1f77b4", "#d62728"]
-    tables = [_read_csv(path) for path in csvs]
-    for path, rows in zip(csvs, tables):
+    csvs = _series_csvs(run_dir, read_manifest(run_dir))
+    tables = {R: _read_csv(path) for R, path in csvs.items()}
+    for R, rows in tables.items():
         if rows.shape[0] == 0:
-            raise InvariantError(f"{path} has no rows to plot")
-    rows0 = tables[0]
+            raise InvariantError(f"{csvs[R]} has no rows to plot")
+    colors = ["#1f77b4", "#d62728"]
+    rows0 = next(iter(tables.values()))
     t = rows0[:, COLUMN["t"]]
 
     mass_drift, energy_drift = _drifts(rows0[:, COLUMN["mass"]], rows0[:, COLUMN["energy"]])
@@ -340,16 +357,15 @@ def plot(run_dir: str) -> int:
         logy=True,
     )
 
-    for path, rows in zip(csvs, tables):
-        tag = os.path.basename(path)[len("series_") : -len(".csv")]
+    for R, rows in tables.items():
         t_R = rows[:, COLUMN["t"]]
         line_plot(
-            os.path.join(run_dir, f"zR_{tag}.svg"),
+            os.path.join(run_dir, f"zR_R{R:g}.svg"),
             [
                 ("z_R", t_R, rows[:, COLUMN["zR"]], colors[0]),
                 ("second difference", t_R, rows[:, COLUMN["zR_second_fd"]], colors[1]),
             ],
-            title=f"localized virial, {tag}",
+            title=f"localized virial, R{R:g}",
         )
     line_plot(
         os.path.join(run_dir, "gradnorm.svg"),
@@ -367,15 +383,12 @@ def virial_audit(run_dir: str) -> dict:
     reproduces (all but dt and zR_second_fd). Fails when nothing was checked
     or when a checkpoint has no row at its time (unmatched, per radius)."""
     man = read_manifest(run_dir)
-    k, R_values = man["cutoff_k"], man["cutoff_R"]
-    ckpts = _listed(run_dir, man, ".bin")
+    k = man["cutoff_k"]
+    ckpts = [os.path.join(run_dir, name) for name in man["files"] if name.endswith(".bin")]
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints listed in {run_dir}/manifest.json")
 
-    names = {R: f"series_R{R:g}.csv" for R in R_values}
-    if not set(names.values()) <= set(man["files"]):
-        raise FileNotFoundError(f"{run_dir}/manifest.json does not list every series CSV")
-    csv_rows = {R: _read_csv(os.path.join(run_dir, name)) for R, name in names.items()}
+    csv_rows = {R: _read_csv(path) for R, path in _series_csvs(run_dir, man).items()}
     audited = [c for c in obs.CSV_COLUMNS if c not in ("dt", "zR_second_fd")]
 
     checked = unmatched = 0
@@ -387,12 +400,11 @@ def virial_audit(run_dir: str) -> dict:
             first = (f.grid, f.params)
             plan = SpectralPlan(f.grid)
             gw = obs.GridWeights(f.grid, f.params)
-            pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in R_values}
+            pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in csv_rows}
         elif (f.grid, f.params) != first:
             raise InvariantError(f"{path} is not on the grid and b of {ckpts[0]}")
         s = obs.sample(plan, f, gw, pgs, t, float("nan"))
-        for R in R_values:
-            rows = csv_rows[R]
+        for R, rows in csv_rows.items():
             match = np.where(np.abs(rows[:, COLUMN["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
             if match.size == 0:
                 unmatched += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -381,6 +381,9 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
     """Largest-margin epsilon with c*eps*Phi_2^q(r) <= Phi_1(r) for r > R,
     q the dimension-dependent exponent 2/(2-b) (2/(2-b/2) when N=2).
 
+    eps comes from the sup of Phi_2^q/Phi_1 on the rho samples and is rechecked
+    on the midpoints between them, so too few samples to resolve the ratio fail.
+
     Raises UnboundedRatioError when the ratio diverges as r -> R+, which
     happens exactly when k <= 2/b (k <= 4/b in dimension two).
     """
@@ -388,30 +391,28 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
         raise InvariantError("constant c must be positive")
     q = 2.0 * weight_exponent(profile.params)
 
-    def ratio(prof, rho):
-        """(Phi_2^q / Phi_1, Phi_1, Phi_2^q) of prof at rho, 0 where Phi_1
-        vanishes. On the middle piece (rho-1)^k can underflow where
-        (rho-1)^(k-1) does not, so the ratio there is red rho/(8(rho-1))
-        Phi_2^(q-1), red = Phi_2/(rho-1)^(k-1), the power from its log."""
-        deficits = prof.deficits(rho * prof.R)
-        p1, p2 = 4.0 * deficits[0], prof._weight2(*deficits[:2])
-        mid = prof._pieces(rho)[0]
+    def ratio(rho):
+        """Phi_2^q / Phi_1 at rho, 0 where Phi_1 vanishes. On the middle piece,
+        where (rho-1)^k can underflow and (rho-1)^(k-1) not, it is red
+        rho/(8(rho-1)) Phi_2^(q-1), red = Phi_2/(rho-1)^(k-1), the power from its log."""
+        a, c_def, _ = profile.deficits(rho * profile.R)
+        p1, p2 = 4.0 * a, profile._weight2(a, c_def)
+        mid = profile._pieces(rho)[0]
         if np.any(~mid & (p1 == 0.0) & (p2 > 0.0)):
             raise RuntimeError("Phi_1 vanishes where Phi_2 does not: broken construction")
-        p2q = p2**q
-        out = np.divide(p2q, p1, out=np.zeros_like(p1), where=~mid & (p1 > 0.0))
+        out = np.divide(p2**q, p1, out=np.zeros_like(p1), where=~mid & (p1 > 0.0))
         t, d = rho[mid], rho[mid] - 1.0
-        red = prof._weight2(2.0 * d / t, 2.0 * prof.k)
-        log_p2 = np.log(red) + (prof.k - 1) * np.log(d)
+        red = profile._weight2(2.0 * d / t, 2.0 * profile.k)
+        log_p2 = np.log(red) + (profile.k - 1) * np.log(d)
         out[mid] = red * t / (8.0 * d) * np.exp((q - 1.0) * log_p2)
-        return out, p1, p2q
+        return out
 
     # one-sided probe of the removable 0/0 at r -> R+. The ratio behaves
     # as (rho-1)^s near rho=1; a positive power-law slope of the sampled
     # ratio as rho-1 shrinks means the one-sided limit diverges (the
     # divergence can be slow, so a magnitude heuristic is not enough).
     deltas = np.array([1e-6, 1e-7, 1e-8])
-    probe_vals = ratio(profile, 1.0 + deltas)[0]
+    probe_vals = ratio(1.0 + deltas)
     if probe_vals[0] > 0.0 and probe_vals[2] > 0.0:
         slope = np.log(probe_vals[2] / probe_vals[0]) / np.log(deltas[0] / deltas[2])
         if slope > 0.01:
@@ -422,24 +423,10 @@ def find_epsilon(profile: CutoffProfile, c: float, samples: int) -> EpsilonResul
 
     rho = _rho_samples(profile, samples)
     rho = rho[rho > 1.0 + 1e-6]
-    vals, p1, p2q = ratio(profile, rho)
-    sup_ratio = float(np.max(vals))
+    sup_ratio = float(np.max(ratio(rho)))
     eps = 1.0 / (2.0 * c * sup_ratio)
-
-    # pointwise recheck of the claimed inequality on the same dense grid
-    lhs = c * eps * p2q - p1
-    verified = bool(np.all(lhs <= PHICOND_SLACK))
-
-    # R-independence: the construction depends only on r/R
-    eps_other = []
-    for r_alt in (1.0, 10.0, 100.0):
-        s_alt = float(np.max(ratio(replace(profile, R=r_alt), rho)[0]))
-        eps_other.append(1.0 / (2.0 * c * s_alt))
-    spread = (max(eps_other) - min(eps_other)) / max(eps_other)
-    if spread > 1e-6:
-        raise RuntimeError(f"epsilon is not R-independent (spread {spread:.2e})")
-
-    return EpsilonResult(epsilon=eps, sup_ratio=sup_ratio, verified=verified)
+    between = float(np.max(ratio(0.5 * (rho[1:] + rho[:-1]))))
+    return EpsilonResult(epsilon=eps, sup_ratio=sup_ratio, verified=c * eps * between <= 1.0)
 
 
 def bilaplacian_sup(profile: CutoffProfile, samples: int) -> float:

@@ -24,6 +24,13 @@ from .core import Field, Grid, InvariantError
 MULTIPLIER_CACHE_SIZE = 8  # a run uses a few distinct steps; cleared when full
 HEAP_HOLD_POINTS = 2**20  # 16 MiB of complex128; glibc ignores freed blocks above 32 MiB
 
+# Allocate and drop one untouched block, once per process: freeing it raises
+# glibc's mmap and trim thresholds to its size and twice that (mallopt(3)), so
+# numpy.fft scratch, field-sized temporaries and sampled cutoff arrays are
+# reused from the heap, not returned to the kernel and faulted in again. The
+# pages are never touched, so resident memory does not grow.
+np.empty(HEAP_HOLD_POINTS, dtype=np.complex128)
+
 
 class SpectralPlan:
     """Cached frequency vectors and multipliers for one grid.
@@ -48,13 +55,6 @@ class SpectralPlan:
         self.k2 = sum(x**2 for x, _ in shape_axes)
         self.k2d = sum(xd**2 for _, xd in shape_axes)  # |xi|^2, Nyquist zeroed
         self._multipliers: dict = {}
-        # Allocate and drop one untouched block of a few fields. Freeing it
-        # raises glibc's mmap threshold to its size and the trim threshold
-        # to twice that (mallopt(3)), so the scratch numpy.fft allocates per
-        # call and field-sized temporaries are reused from the heap instead
-        # of being handed back to the kernel and faulted in again.
-        # The pages are never touched, so resident memory does not grow.
-        np.empty(min(4 * grid.size, HEAP_HOLD_POINTS), dtype=np.complex128)
 
     def _check(self, f: Field):
         if f.grid != self.grid:

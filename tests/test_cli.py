@@ -697,6 +697,13 @@ class TestSweepPlotAudit:
         assert main(["virial-audit", out]) == 1
         assert "no checkpoints" in capsys.readouterr().err
 
+    MALFORMED = {
+        "manifest_files": ("files", [3]),
+        "manifest_R": ("cutoff_R", ["2"]),
+        "manifest_empty_R": ("cutoff_R", []),
+        "manifest_k": ("cutoff_k", True),
+    }
+
     @pytest.mark.parametrize(
         "command, corrupt",
         [
@@ -706,6 +713,12 @@ class TestSweepPlotAudit:
             ("virial-audit", "csv_header"),
             ("virial-audit", "manifest"),
             ("virial-audit", "manifest_not_object"),
+            ("plot", "manifest_files"),
+            ("virial-audit", "manifest_files"),
+            ("plot", "manifest_R"),
+            ("virial-audit", "manifest_R"),
+            ("plot", "manifest_empty_R"),
+            ("virial-audit", "manifest_k"),
             ("virial-audit", "nan_checkpoint"),
             ("simulate", "nan_checkpoint"),
         ],
@@ -721,10 +734,20 @@ class TestSweepPlotAudit:
             lines[i] = "x" + lines[i]
             with open(path, "w") as fh:
                 fh.writelines(lines)
-        elif corrupt.startswith("manifest"):
+        elif corrupt in ("manifest", "manifest_not_object"):
             path = os.path.join(out, "manifest.json")
             with open(path, "w") as fh:
                 fh.write('{"cutoff_k": 5,' if corrupt == "manifest" else "5")
+        elif corrupt.startswith("manifest"):
+            # a key of another shape than simulate writes: once an
+            # AttributeError (files [3]) or a ValueError (R "2") traceback
+            path = os.path.join(out, "manifest.json")
+            with open(path) as fh:
+                man = json.load(fh)
+            key, value = self.MALFORMED[corrupt]
+            man[key] = value
+            with open(path, "w") as fh:
+                json.dump(man, fh)
         else:
             path = os.path.join(out, "checkpoints", "ckpt_final.bin")
             with open(path, "r+b") as fh:
@@ -739,6 +762,19 @@ class TestSweepPlotAudit:
             argv = ["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "restart")]
         assert main(argv) == 1
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plot", "virial-audit"])
+    def test_unlisted_series_csv_is_a_clean_error(self, tmp_path, capsys, command):
+        out = self.simulate_with_checkpoints(tmp_path)
+        path = os.path.join(out, "manifest.json")
+        with open(path) as fh:
+            man = json.load(fh)
+        man["files"].remove("series_R4.csv")
+        with open(path, "w") as fh:
+            json.dump(man, fh)
+        assert main([command, out]) == 1
+        assert "manifest.json does not list series_R4.csv" in capsys.readouterr().err
+        assert not any(n.endswith(".svg") for n in os.listdir(out))
 
     def test_plot_emits_svg(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from inlslab.core import InvariantError, ProblemParams
 from inlslab.cutoff import (
     ANTIDERIVATIVE,
     ConstraintError,
+    CutoffProfile,
     UnboundedRatioError,
     bilaplacian_sup,
     build_cutoff,
@@ -27,6 +29,7 @@ from inlslab.cutoff import (
     r_star,
     verify_phicond,
     weight_exponent,
+    _rho_samples,
 )
 
 P1 = ProblemParams(1, 0.5)
@@ -349,6 +352,42 @@ class TestEpsilon:
         with pytest.raises(InvariantError):
             find_epsilon(prof, 0.0, 10**4)
 
+    def test_too_few_samples_fail_between_them(self, capsys):
+        # at 10 samples the sup misses the peak: at rho = 1.8415, between two
+        # samples, eps Phi_2^q = 14.56 while Phi_1 = 6.87
+        assert main(["cutoff-verify", "--N", "1", "--b", "1.9", "--samples", "10"]) == 2
+        assert json.loads(capsys.readouterr().out)["phivare_passed"] is False
+
+    def test_two_ratio_passes(self, monkeypatch):
+        # the 3-point probe near r = R, the n samples above rho = 1 + 1e-6
+        # and the n - 1 midpoints between them: 2n + 2 points
+        prof = build_cutoff(5, 1.0, P1)
+        n = int(np.count_nonzero(_rho_samples(prof, 10**4) > 1.0 + 1e-6))
+        sizes = []
+        deficits = CutoffProfile.deficits
+
+        def counted(self, r):
+            sizes.append(np.size(r))
+            return deficits(self, r)
+
+        monkeypatch.setattr(CutoffProfile, "deficits", counted)
+        find_epsilon(prof, 1.0, 10**4)
+        assert sizes == [3, n, n - 1]
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("b", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_r_independence(self, N, b):
+        # every profile evaluator divides r by R first; only the rounding of
+        # (rho R)/R can differ between radii
+        p = ProblemParams(N, b)
+        res = [
+            find_epsilon(build_cutoff(default_k(p), R, p), 1.0, 10**4)
+            for R in (1.0, 10.0, 100.0, 0.125, 7.0)
+        ]
+        for name in ("epsilon", "sup_ratio"):
+            vals = [getattr(r, name) for r in res]
+            assert (max(vals) - min(vals)) / max(vals) < 1e-12
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("b", [0.02, 0.05, 0.1])
     def test_small_b_certifies(self, N, b, capsys):
@@ -395,3 +434,34 @@ def test_cli_imports_no_interpolation_or_optimization():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+CERTIFICATE_FAULTS = """
+import resource
+
+from inlslab.core import ProblemParams
+from inlslab.cutoff import build_cutoff, default_k, find_epsilon, grad_weight_bound, verify_phicond
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for N in (1, 2, 3):
+    p = ProblemParams(N, 0.5)
+    prof = build_cutoff(default_k(p), 1.0, p)
+    verify_phicond(prof, 20000)
+    grad_weight_bound(prof, 20000)
+    find_epsilon(prof, 1.0, 20000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_certificates_do_not_refault_their_arrays():
+    # 20000 samples make 160 KB arrays, above glibc's default mmap threshold;
+    # without the heap hold spectral makes at import, every temporary is
+    # mapped and unmapped again: about 2500 faults a certificate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(inlslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", CERTIFICATE_FAULTS], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert int(out) < 1000

@@ -299,9 +299,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
 def test_propagator_does_not_refault_its_scratch():
-    # without the plan's heap hold, glibc returns the 1 MiB output and
-    # scratch blocks of numpy.fft to the kernel after every transform: about
-    # 960 faults a call
+    # without the heap hold spectral makes once at import, glibc returns the
+    # 1 MiB output and scratch blocks of numpy.fft to the kernel after every
+    # transform: about 960 faults a call
     src = os.path.dirname(os.path.dirname(inlslab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
