@@ -30,7 +30,7 @@ from .core import (
     realize,
     write_checkpoint,
 )
-from .spectral import SpectralPlan
+from .spectral import SpectralPlan, unit_phasor
 
 OUTCOME_REACHED_T_MAX = "reached_t_max"
 OUTCOME_BLOWUP = "blowup_detected"
@@ -147,15 +147,6 @@ def _abs_pow(absu: np.ndarray, sigma: float) -> np.ndarray:
     return absu**sigma
 
 
-def _unit_phasor(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) as one fresh complex array, cos and sin written into
-    its real and imaginary parts."""
-    e = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=e.real)
-    np.sin(theta, out=e.imag)
-    return e
-
-
 def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     """Exact potential-only subflow u -> u exp(i dt V |u|^sigma), V the
     potential (|x|^-b, or zero to turn the nonlinearity off).
@@ -169,7 +160,7 @@ def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     # The phasor is a temporary on purpose: numpy then evaluates the product
     # with the operands in the order it used for u * (cos + 1j sin), which
     # depends on the array size, so the rounding stays that of this formula.
-    return u * _unit_phasor(dt * rate), float(np.max(rate))
+    return u * unit_phasor(dt * rate), float(np.max(rate))
 
 
 def strang_step(plan: SpectralPlan, f: Field, dt: float, potential: np.ndarray) -> Field:
@@ -191,14 +182,15 @@ def run(
     profiles: list,
     checkpoint_dir: str | None = None,
 ) -> RunReport:
-    f = realize(init, params, grid)
+    # the realized samples are the run's field: never written in place
+    u = realize(init, params, grid).values
+    decay = None if init.kind == "from_checkpoint" else boundary_decay(u)
     plan = SpectralPlan(grid)
     gw = obs.GridWeights(grid, params)
     pgs = {p.R: obs.ProfileOnGrid(p, gw) for p in profiles}
     sigma = params.sigma
 
-    u = f.values.copy()
-    series = [obs.sample(plan, f, gw, pgs, 0.0, cfg.dt0)]
+    series = [obs.sample(plan, Field(params, grid, u), gw, pgs, 0.0, cfg.dt0)]
     mass0 = series[0].conservation.mass
     checkpoints = []
 
@@ -266,7 +258,7 @@ def run(
         if not np.isfinite(rate):
             stop = OUTCOME_INSTABILITY
             break
-        u = unew
+        u, unew = unew, None  # a sample must not hold the pre-flush buffer
         t += dt
         step += 1
         step_dt = dt
@@ -293,6 +285,6 @@ def run(
         gradnorm_ceiling_hit=bracket is not None and series[-1].grad_norm > cfg.gradnorm_ceiling,
         supnorm_ceiling_hit=bracket is not None and series[-1].sup_norm > cfg.supnorm_ceiling,
         dt_floor_hit=floor_time is not None,
-        boundary_decay=None if init.kind == "from_checkpoint" else boundary_decay(f.values),
+        boundary_decay=decay,
         checkpoints=checkpoints,
     )

@@ -15,13 +15,15 @@ N-dimensional transforms.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from numpy import fft as _fft
 
 from .core import Field, Grid, InvariantError
 
 
-MULTIPLIER_CACHE_SIZE = 8  # a run uses a few distinct steps; cleared when full
+MULTIPLIER_CACHE_SIZE = 2  # a run's full step and flush half-step; oldest evicted
 HEAP_HOLD_POINTS = 2**20  # 16 MiB of complex128; glibc ignores freed blocks above 32 MiB
 
 # Allocate and drop one untouched block, once per process: freeing it raises
@@ -32,29 +34,47 @@ HEAP_HOLD_POINTS = 2**20  # 16 MiB of complex128; glibc ignores freed blocks abo
 np.empty(HEAP_HOLD_POINTS, dtype=np.complex128)
 
 
-class SpectralPlan:
-    """Cached frequency vectors and multipliers for one grid.
+def unit_phasor(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) as one fresh complex array, cos and sin written into
+    its real and imaginary parts."""
+    e = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    return e
 
-    The frequency arrays are fixed at construction. Free-propagator
-    multipliers exp(-i |xi|^2 dt) are cached per dt in a small bounded
-    dict that calls mutate, so a plan is not safe for concurrent use.
+
+class SpectralPlan:
+    """Frequency vectors and multipliers for one grid.
+
+    The first-derivative wavenumbers are fixed at construction; |xi|^2
+    (k2) and its Nyquist-zeroed form (k2d) are formed at first use.
+    Free-propagator multipliers exp(-i |xi|^2 dt) are cached per dt, at
+    most MULTIPLIER_CACHE_SIZE of them, the oldest evicted first; calls
+    mutate the cache, so a plan is not safe for concurrent use.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        M = grid.points_per_axis
-        xi = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
-        xi_d = xi.copy()
-        xi_d[M // 2] = 0.0  # Nyquist zeroed for first derivatives
-        shape_axes = []
-        for axis in range(grid.ndim):
-            sh = [1] * grid.ndim
-            sh[axis] = M
-            shape_axes.append((xi.reshape(sh), xi_d.reshape(sh)))
-        self._xi_axes = shape_axes
-        self.k2 = sum(x**2 for x, _ in shape_axes)
-        self.k2d = sum(xd**2 for _, xd in shape_axes)  # |xi|^2, Nyquist zeroed
+        self._xi_d_axes = self._wavenumbers(nyquist=False)
         self._multipliers: dict = {}
+
+    def _wavenumbers(self, nyquist: bool) -> list:
+        """xi along each axis j, shaped to broadcast along j; the Nyquist
+        entry is zeroed unless nyquist (first derivatives drop it)."""
+        M, n = self.grid.points_per_axis, self.grid.ndim
+        xi = 2.0 * np.pi * np.fft.fftfreq(M, d=self.grid.h)
+        if not nyquist:
+            xi[M // 2] = 0.0
+        return [xi.reshape([M if j == axis else 1 for j in range(n)]) for axis in range(n)]
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return sum(x**2 for x in self._wavenumbers(nyquist=True))
+
+    @cached_property
+    def k2d(self) -> np.ndarray:
+        """|xi|^2 with the Nyquist entries zeroed."""
+        return sum(xd**2 for xd in self._xi_d_axes)
 
     def _check(self, f: Field):
         if f.grid != self.grid:
@@ -66,7 +86,7 @@ class SpectralPlan:
         """[d_j u for each axis j], each from one forward and one inverse
         transform along axis j alone; values is not modified."""
         grads = []
-        for axis, (_, xi_d) in enumerate(self._xi_axes):
+        for axis, xi_d in enumerate(self._xi_d_axes):
             fhat = _fft.fftn(values, axes=(axis,))
             fhat *= 1j * xi_d
             grads.append(_fft.ifftn(fhat, axes=(axis,), out=fhat))
@@ -83,8 +103,10 @@ class SpectralPlan:
         m = self._multipliers.get(dt)
         if m is None:
             if len(self._multipliers) >= MULTIPLIER_CACHE_SIZE:
-                self._multipliers.clear()
-            m = np.exp(-1j * self.k2 * dt)
+                del self._multipliers[next(iter(self._multipliers))]
+            # 0.0 - dt k2 keeps the signed zeros of np.exp(-1j * k2 * dt),
+            # so the multiplier has the same bits as that formula
+            m = unit_phasor(0.0 - dt * self.k2)
             self._multipliers[dt] = m
         fhat = _fft.fftn(values)
         fhat *= m

@@ -1,9 +1,12 @@
 """Splitting integrator: exact subflows, order of accuracy, detectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inlslab import spectral
 from inlslab.core import (
     Field,
     Grid,
@@ -429,6 +432,36 @@ class TestRun:
         z1 = [s.virials[2.0].zR for s in r1.series]
         z2 = [s.virials[2.0].zR for s in r2.series]
         assert z1 == z2
+
+
+class TestRunMemory:
+    def test_rate_limited_run_keeps_few_fields(self, monkeypatch):
+        # every step is rate-limited to a new size, so every step and every
+        # flush builds a multiplier; with the plan holding two of them and no
+        # dead copies of the field, the traced peak stays under 15 fields. A
+        # plan that kept eight multipliers peaked at about 20 here.
+        M = 16384
+        grid = Grid(1, 20.0, M)
+        profiles = [build_cutoff(default_k(PARAMS), R, PARAMS) for R in (0.5, 1.0, 2.0)]
+        init = InitialData(kind="gaussian", amplitude=3.0, width=1.0)
+        cfg = SolverConfig(dt0=1e-3, c_cfl=1e-3, t_max=5e-5)
+        builds = []
+        build = spectral.unit_phasor
+        monkeypatch.setattr(spectral, "unit_phasor", lambda theta: builds.append(1) or build(theta))
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            rep = run(init, PARAMS, grid, cfg, profiles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert rep.outcome == OUTCOME_REACHED_T_MAX
+        assert rep.steps == 40 and len(builds) == 44  # 40 steps and 4 flushes
+        assert peak - before < 15 * 16 * M
 
 
 class TestRunReport:

@@ -5,12 +5,14 @@ import os
 import platform
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import inlslab
+from inlslab import spectral
 from inlslab.core import Field, Grid, InvariantError, ProblemParams
 from inlslab.spectral import SpectralPlan
 
@@ -159,6 +161,17 @@ class TestGradientKernel:
         plan.radial_derivative_arrays(u)
         assert np.array_equal(u, before)
 
+    def test_gradient_forms_no_squared_wavenumbers(self):
+        # gradient-only plans (the interpolation inequalities) never hold
+        # |xi|^2; it is formed at first use, with the bits of the formula
+        grid = Grid(3, 8.0, 16)
+        plan = SpectralPlan(grid)
+        plan.gradient_arrays(np.ones(grid.shape, dtype=complex))
+        assert "k2" not in vars(plan) and "k2d" not in vars(plan)
+        xi = 2.0 * np.pi * np.fft.fftfreq(16, d=grid.h)
+        k2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
+        assert np.array_equal(plan.k2, k2)
+
     def test_3d_gradient_takes_one_transform_pair_per_axis(self, monkeypatch):
         # a full transform per component would be 1 + 3 three-axis calls
         calls = []
@@ -220,7 +233,7 @@ class TestFreePropagator:
 
 class TestFreePropagatorProperties:
     # one plan shared by every example, so its multiplier cache sees hits,
-    # misses and the clear-on-full path
+    # misses and evictions
     GRID = Grid(1, 8.0, 128)
     PLAN = SpectralPlan(GRID)
 
@@ -252,6 +265,46 @@ class TestFreePropagatorProperties:
         hit = self.PLAN.free_propagate_array(u, dt)
         fresh = SpectralPlan(self.GRID).free_propagate_array(u, dt)
         assert np.array_equal(hit, fresh)
+
+    @PROPERTY
+    @given(seed=SEEDS, dts=st.lists(TIMES.filter(lambda t: t != 0.0), min_size=1, max_size=4))
+    def test_bits_of_the_exp_formula(self, seed, dts):
+        # negative dt included; k2 = 0 at the zero mode, where the phasor
+        # must keep the signed zeros of the complex exponential
+        u = self.field(seed)
+        k2 = self.PLAN.k2
+        for dt in dts:
+            out = self.PLAN.free_propagate_array(u, dt)
+            m = np.exp(-1j * k2 * dt)
+            assert np.array_equal(self.PLAN._multipliers[dt].view(np.uint64), m.view(np.uint64))
+            # the kernel's operand order: numpy's complex product can round
+            # differently with its operands swapped
+            reference = np.fft.ifftn(np.fft.fftn(u) * m)
+            assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
+            assert len(self.PLAN._multipliers) <= 2
+
+    @PROPERTY
+    @given(
+        seed=SEEDS,
+        burst=st.lists(TIMES.filter(lambda t: t != 0.0), min_size=0, max_size=12),
+        dt=st.floats(1e-6, 0.5),
+    )
+    def test_alternation_after_a_burst_rebuilds_nothing(self, seed, burst, dt):
+        # a run's steps alternate between a full step and the half-step that
+        # flushes the merged tail before a sample
+        u = self.field(seed)
+        with mock.patch.object(spectral, "unit_phasor", wraps=spectral.unit_phasor) as build:
+            for one_off in burst:
+                self.PLAN.free_propagate_array(u, one_off)
+            self.PLAN.free_propagate_array(u, dt)
+            self.PLAN.free_propagate_array(u, 0.5 * dt)
+            built = build.call_count
+            for _ in range(5):
+                self.PLAN.free_propagate_array(u, dt)
+                self.PLAN.free_propagate_array(u, dt)
+                self.PLAN.free_propagate_array(u, 0.5 * dt)
+            assert build.call_count == built
+        assert set(self.PLAN._multipliers) == {dt, 0.5 * dt}
 
 
 class TestFieldLevelWrappers:
