@@ -23,13 +23,16 @@ WEIGHTS = ("paper_Phi2", "gaussian_bump")
 
 class RadialWeight:
     """Nonnegative radial weight with a closed-form derivative of its
-    fractional powers."""
+    fractional powers. scale, the Gaussian bump's width, must be positive
+    and finite."""
 
     def __init__(self, kind: str, scale: float = 1.0, profile: CutoffProfile | None = None):
         if kind not in WEIGHTS:
             raise InvariantError(f"unknown weight kind {kind!r}")
         if kind == "paper_Phi2" and profile is None:
             raise InvariantError("paper_Phi2 weight needs a cutoff profile")
+        if not (0.0 < scale < np.inf):
+            raise InvariantError(f"weight scale must be positive and finite, got {scale!r}")
         self.kind = kind
         self.scale = scale
         self.profile = profile
@@ -77,8 +80,8 @@ class IneqCase:
             return
         r = grid.radii()
         w = self.w = weight.w(r)
-        if np.any(w < 0):
-            raise InvariantError("weight must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise InvariantError("weight must be finite and nonnegative")
         e = weight_exponent(params)
         self.dpow2 = weight.dpow(r, e) ** 2
         # formed after dpow's temporaries are freed, so peak memory stays put
@@ -96,15 +99,20 @@ def lhs_rhs(case: IneqCase, f: Field) -> tuple:
     grid, params = case.grid, case.params
     N, b = params.ndim, params.b
     u = f.values
+    # the gradient density is reduced and dropped before |u| is formed, so
+    # no derivative component and no |u| temporary are alive together
+    grad2 = case.plan.gradient_density_array(u)
+    if case.which == "gn":
+        gn = np.sqrt(_quad(grid, grad2))
+    else:
+        grad_term = np.sqrt(_quad(grid, case.w2e * grad2))
+    del grad2
     absu = np.abs(u)
-    grads = case.plan.gradient_arrays(u)
-    grad2 = sum(np.abs(g) ** 2 for g in grads)
     l2 = np.sqrt(_quad(grid, absu**2))
 
     if case.which == "gn":
         sigma = (2.0 - b) / N
         lhs = _quad(grid, absu ** (2.0 * sigma + 2.0))
-        gn = np.sqrt(_quad(grid, grad2))
         rhs = gn ** (N * sigma) * l2 ** (2.0 + sigma * (2.0 - N))
         return lhs, rhs
 
@@ -113,7 +121,7 @@ def lhs_rhs(case: IneqCase, f: Field) -> tuple:
     term = np.sqrt(_quad(grid, case.dpow2 * absu**2))
     if case.which == "interp2":
         term = np.sqrt(_quad(grid, case.w2e * absu**2)) + term
-    term = term + np.sqrt(_quad(grid, case.w2e * grad2))
+    term = term + grad_term
 
     if case.which == "otn1":
         lhs = float(np.max(case.w_half_e * absu))
@@ -139,7 +147,11 @@ def _gaussian_member(grid: Grid, scale: float, shift: float, mod: float) -> np.n
 def _bandlimited_member(grid: Grid, rng) -> np.ndarray:
     M = grid.points_per_axis
     cut = max(M // 8, 2)
-    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    # the draws of standard_normal(shape) + 1j * standard_normal(shape),
+    # written into the spectrum's real and imaginary parts in that order
+    spec = np.empty(grid.shape, dtype=np.complex128)
+    spec.real = rng.standard_normal(grid.shape)
+    spec.imag = rng.standard_normal(grid.shape)
     m = np.fft.fftfreq(M) * M
     mask = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.ndim):
@@ -148,7 +160,8 @@ def _bandlimited_member(grid: Grid, rng) -> np.ndarray:
         mask &= np.abs(m.reshape(sh)) <= cut
     spec[~mask] = 0.0
     u = _fft.ifftn(spec, out=spec)
-    return u / np.max(np.abs(u))
+    u /= np.max(np.abs(u))
+    return u
 
 
 @dataclass(frozen=True)
@@ -175,19 +188,19 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     ratios = []
     best = (0.0, None)
     # member i is a function of (seed, i) alone, so a larger trial count
-    # extends the family and the sup estimate is monotone in trials
+    # extends the family and the sup estimate is monotone in trials; no
+    # name holds a member, so each is freed before the next is built
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         if i % 5 == 0:
-            u = _bandlimited_member(case.grid, rng)
+            rr = ratio_of(_bandlimited_member(case.grid, rng))
             desc = {"kind": "bandlimited", "index": i}
         else:
             scale = float(np.exp(rng.uniform(np.log(0.4), np.log(2.5))))
             shift = float(rng.uniform(0.0, L / 3.0))
             mod = float(k0 * rng.integers(0, 9))
-            u = _gaussian_member(case.grid, scale, shift, mod)
+            rr = ratio_of(_gaussian_member(case.grid, scale, shift, mod))
             desc = {"kind": "gaussian", "scale": scale, "shift": shift, "mod": mod}
-        rr = ratio_of(u)
         ratios.append(rr)
         if rr > best[0]:
             best = (rr, desc)

@@ -82,15 +82,25 @@ class SpectralPlan:
 
     # array-level kernels (used by the solver hot loop) -------------------
 
+    def _axis_derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """d_j u for j = axis, from one forward and one inverse transform
+        along that axis alone; values is not modified."""
+        fhat = _fft.fftn(values, axes=(axis,))
+        fhat *= 1j * self._xi_d_axes[axis]
+        return _fft.ifftn(fhat, axes=(axis,), out=fhat)
+
     def gradient_arrays(self, values: np.ndarray) -> list:
-        """[d_j u for each axis j], each from one forward and one inverse
-        transform along axis j alone; values is not modified."""
-        grads = []
-        for axis, xi_d in enumerate(self._xi_d_axes):
-            fhat = _fft.fftn(values, axes=(axis,))
-            fhat *= 1j * xi_d
-            grads.append(_fft.ifftn(fhat, axes=(axis,), out=fhat))
-        return grads
+        """[d_j u for each axis j]; values is not modified."""
+        return [self._axis_derivative(values, axis) for axis in range(self.grid.ndim)]
+
+    def gradient_density_array(self, values: np.ndarray) -> np.ndarray:
+        """sum_j |d_j u|^2, one axis at a time, so at most one derivative
+        component is alive. It has the bits of summing |d_j u|^2 over
+        gradient_arrays in axis order; values is not modified."""
+        density = np.zeros(self.grid.shape)
+        for axis in range(self.grid.ndim):
+            density += np.square(np.abs(self._axis_derivative(values, axis)))
+        return density
 
     def laplacian_array(self, values: np.ndarray) -> np.ndarray:
         return _fft.ifftn(-self.k2 * _fft.fftn(values))

@@ -1,8 +1,11 @@
 """Weighted interpolation and Gagliardo-Nirenberg ratio checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from inlslab import inequalities
 from inlslab.core import Field, Grid, InvariantError, ProblemParams
 from inlslab.cutoff import build_cutoff, default_k
 from inlslab.inequalities import (
@@ -53,6 +56,13 @@ class TestRadialWeight:
         step = 1e-6
         fd = (w.w(r + step) ** e - w.w(r - step) ** e) / (2.0 * step)
         assert np.max(np.abs(w.dpow(r, e) - fd)) < 1e-7
+
+    @pytest.mark.parametrize("scale", [-2.0, 0.0, np.inf, np.nan])
+    def test_bad_scale_rejected(self, scale):
+        # a negative scale acted as its absolute value, inf made the weight
+        # 1 everywhere, 0 divided by zero and nan ended as a vanishing RHS
+        with pytest.raises(InvariantError, match="positive and finite"):
+            RadialWeight("gaussian_bump", scale)
 
     def test_paper_weight_evaluates_cutoff(self):
         prof = build_cutoff(default_k(P1), 2.0, P1)
@@ -110,6 +120,11 @@ class TestLhsRhs:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvariantError, match="nonnegative"):
             IneqCase("interp1", P1, GRID1, ConstantWeight(-1.0))
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_nonfinite_weight_rejected(self, c):
+        with pytest.raises(InvariantError, match="finite and nonnegative"):
+            IneqCase("interp1", P1, GRID1, ConstantWeight(c))
 
     def test_homogeneity_of_interp1(self):
         # both sides scale as lambda^p under f -> lambda f
@@ -177,3 +192,98 @@ class TestEstimateConstant:
             u = gaussian(GRID1, scale=1.0, shift=float(c))
             lhs, rhs = lhs_rhs(self.CASE, Field(P1, GRID1, u))
             assert lhs / rhs <= cap
+
+
+# the interp-check cases of the benchmark's verify_suite, on the CLI's grids
+VERIFY_CASES = [("interp1", 1, 0.5), ("interp1", 3, 0.5), ("interp2", 2, 1.0), ("otn1", 1, 0.5),
+                ("gn", 1, 0.5)]
+CLI_POINTS = {1: 1024, 2: 128, 3: 48}
+
+
+def cli_case(which, N, b):
+    grid = Grid(N, 12.0, CLI_POINTS[N])
+    return IneqCase(which, ProblemParams(N, b), grid, RadialWeight("gaussian_bump", 3.0))
+
+
+def holding_lhs_rhs(case, f):
+    """lhs_rhs holding every gradient component and |u| at once: the
+    reference the streamed form must match bit for bit."""
+    grid, params = case.grid, case.params
+    N, b = params.ndim, params.b
+
+    def quad(arr):
+        return grid.cell_volume * float(np.sum(arr))
+
+    u = f.values
+    absu = np.abs(u)
+    grads = case.plan.gradient_arrays(u)
+    grad2 = sum(np.abs(g) ** 2 for g in grads)
+    l2 = np.sqrt(quad(absu**2))
+    if case.which == "gn":
+        sigma = (2.0 - b) / N
+        lhs = quad(absu ** (2.0 * sigma + 2.0))
+        gn = np.sqrt(quad(grad2))
+        return lhs, gn ** (N * sigma) * l2 ** (2.0 + sigma * (2.0 - N))
+    term = np.sqrt(quad(case.dpow2 * absu**2))
+    if case.which == "interp2":
+        term = np.sqrt(quad(case.w2e * absu**2)) + term
+    term = term + np.sqrt(quad(case.w2e * grad2))
+    if case.which == "otn1":
+        return float(np.max(case.w_half_e * absu)), np.sqrt(l2) * np.sqrt(term)
+    if case.which == "interp1":
+        lhs = quad(case.w * absu**params.p)
+        return lhs, term ** (2.0 - b) * l2 ** ((4.0 + b * (N - 2.0)) / N)
+    lhs = quad(case.w * absu ** (4.0 - b))
+    return lhs, term ** (2.0 - b / 2.0) * l2 ** (2.0 - b / 2.0)
+
+
+def summed_bandlimited_member(grid, rng):
+    """The band-limited member from a summed spectrum, normalized into a new
+    array: the reference for the in-place builder."""
+    M = grid.points_per_axis
+    cut = max(M // 8, 2)
+    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    m = np.fft.fftfreq(M) * M
+    mask = np.ones(grid.shape, dtype=bool)
+    for axis in range(grid.ndim):
+        sh = [1] * grid.ndim
+        sh[axis] = M
+        mask &= np.abs(m.reshape(sh)) <= cut
+    spec[~mask] = 0.0
+    u = np.fft.ifftn(spec, out=spec)
+    return u / np.max(np.abs(u))
+
+
+class TestStreamedEstimate:
+    @pytest.mark.parametrize("which, N, b", VERIFY_CASES)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_the_holding_form(self, monkeypatch, which, N, b, seed):
+        case = cli_case(which, N, b)
+        est = estimate_constant(case, 50, seed)
+        monkeypatch.setattr(inequalities, "lhs_rhs", holding_lhs_rhs)
+        monkeypatch.setattr(inequalities, "_bandlimited_member", summed_bandlimited_member)
+        ref = estimate_constant(case, 50, seed)
+        assert est.c_hat == ref.c_hat
+        assert est.ratios.tobytes() == ref.ratios.tobytes()
+        assert est.argmax == ref.argmax
+
+    def test_3d_interp1_keeps_few_fields(self):
+        # one gradient component alive at a time and each member freed
+        # before the next is built: 4.5 fields (16 bytes a point) here, the
+        # case's weight factors included. Holding all three components
+        # peaked at 8.0, and keeping one component alive while the next is
+        # formed at 5.1. A first untraced estimate does the lazy imports.
+        estimate_constant(cli_case("interp1", 3, 0.5), 1, 0)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            case = cli_case("interp1", 3, 0.5)
+            tracemalloc.reset_peak()
+            estimate_constant(case, 50, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - start < 5 * 16 * case.grid.size

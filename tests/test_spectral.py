@@ -172,22 +172,50 @@ class TestGradientKernel:
         k2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
         assert np.array_equal(plan.k2, k2)
 
-    def test_3d_gradient_takes_one_transform_pair_per_axis(self, monkeypatch):
+    def test_3d_gradient_takes_one_transform_pair_per_axis(self, transform_calls):
         # a full transform per component would be 1 + 3 three-axis calls
-        calls = []
-
-        def counting(name, fn):
-            def wrapped(x, *args, **kwargs):
-                calls.append((name, tuple(kwargs.get("axes") or ())))
-                return fn(x, *args, **kwargs)
-
-            return wrapped
-
-        for name in ("fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         grid = Grid(3, 8.0, 8)
         SpectralPlan(grid).gradient_arrays(np.ones(grid.shape, dtype=complex))
-        assert calls == [
+        assert transform_calls == [
+            (name, (axis,)) for axis in range(3) for name in ("fftn", "ifftn")
+        ]
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """(name, axes) of every np.fft.fftn and np.fft.ifftn call, in order."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(x, *args, **kwargs):
+            calls.append((name, tuple(kwargs.get("axes") or ())))
+            return fn(x, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls
+
+
+class TestGradientDensityKernel:
+    @pytest.mark.parametrize("ndim, M", [(1, 256), (2, 32), (3, 16)])
+    def test_bits_of_the_summed_components(self, ndim, M):
+        grid = Grid(ndim, 8.0, M)
+        plan = SpectralPlan(grid)
+        rng = np.random.default_rng(10 + ndim)
+        u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        before = u.copy()
+        density = plan.gradient_density_array(u)
+        assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
+        reference = sum(np.abs(g) ** 2 for g in plan.gradient_arrays(u))
+        assert density.dtype == reference.dtype and density.shape == grid.shape
+        assert np.array_equal(density.view(np.uint64), reference.view(np.uint64))
+
+    def test_3d_density_takes_one_transform_pair_per_axis(self, transform_calls):
+        grid = Grid(3, 8.0, 8)
+        SpectralPlan(grid).gradient_density_array(np.ones(grid.shape, dtype=complex))
+        assert transform_calls == [
             (name, (axis,)) for axis in range(3) for name in ("fftn", "ifftn")
         ]
 
