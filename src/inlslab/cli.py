@@ -140,6 +140,8 @@ def parse_config(text: str) -> ExperimentConfig:
             errs.append(f"[{section}] {exc}")
 
     params = build("problem", ProblemParams, **given["problem"])
+    if params is not None:  # the range of b the dynamics take, narrower for N = 1
+        build("problem", obs.GridWeights.check_b, params=params)
     grid = build("grid", Grid, ndim=given["problem"]["ndim"], **given["grid"])
     init = build("init", InitialData, **given["init"])
     solver = build("solver", SolverConfig, **given["solver"])
@@ -195,7 +197,8 @@ def write_series_csv(path, report, R):
 def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     """Run one experiment and emit manifest, CSVs, optional checkpoints/SVGs."""
     k = default_k(cfg.params) if cfg.cutoff_k is None else cfg.cutoff_k
-    # validated before anything is written, so a rejected k or R leaves no directory
+    # validated before anything is written, so a rejected b, k or R leaves no directory
+    obs.GridWeights.check_b(cfg.params)
     profiles = [build_cutoff(k, R, cfg.params) for R in cfg.cutoff_R]
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints") if cfg.emit_checkpoints else None
@@ -217,20 +220,13 @@ def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
         np.array([s.conservation.mass for s in report.series]),
         np.array([s.conservation.energy for s in report.series]),
     )
+    # every report field but the series, in the CSVs, and the checkpoints, in files
+    listed = [f.name for f in fields(report) if f.name not in ("series", "checkpoints")]
     manifest = {
         "run_id": run_id,
         **config,
-        "outcome": report.outcome,
-        "t_end": report.t_end,
-        "steps": report.steps,
-        "E0": report.energy0,
-        "M0": report.mass0,
-        "boundary_decay": report.boundary_decay,
+        **{name: getattr(report, name) for name in listed},
         "alpha_summary": report.alpha_summary(),
-        "gradnorm_ceiling_hit": report.gradnorm_ceiling_hit,
-        "supnorm_ceiling_hit": report.supnorm_ceiling_hit,
-        "dt_floor_hit": report.dt_floor_hit,
-        "blowup_time_bracket": report.blowup_time_bracket,
         "tracked_concavity": {f"{R:g}": report.tracked_concavity(R) for R in cfg.cutoff_R},
         "max_mass_drift": float(np.max(mass_drift)),
         "max_energy_drift": float(np.max(energy_drift)),

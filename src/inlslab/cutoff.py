@@ -201,17 +201,12 @@ class CutoffProfile:
         a = self.r_star
         return a**2 - 2.0 * (a - 1.0) ** (self.k + 1) / (self.k + 1)
 
-    @property
-    def phi_outer(self) -> float:
-        """phi(rho) for every rho >= 2, where v vanishes."""
-        return self._phi_star + self.bridge.integral
-
     def phi(self, rho):
         """Antiderivative of v from 0, exact on every piece."""
         rho = np.asarray(rho, dtype=float)
         k = self.k
         mid, bridge = self._pieces(rho)
-        out = np.where(rho <= 1.0, rho**2, self.phi_outer)
+        out = np.where(rho <= 1.0, rho**2, self._phi_star + self.bridge.integral)
         out[mid] = rho[mid] ** 2 - 2.0 * (rho[mid] - 1.0) ** (k + 1) / (k + 1)
         out[bridge] = self._phi_star + self.bridge(rho[bridge], (ANTIDERIVATIVE,))[0]
         return out
@@ -251,16 +246,19 @@ class CutoffProfile:
         return self._bilaplacian(rho, *self.v_derivs(rho))
 
     def virial_profile(self, r):
-        """(phi_R, partial_r phi_R / r, partial^2_r phi_R, Lap^2 phi_R) at r
-        from one v_derivs evaluation; each equals its own evaluator's
-        result exactly."""
+        """(phi_R, partial_r phi_R / r, partial^2_r phi_R, Lap^2 phi_R,
+        Phi_1, Phi_2) at r from one v_derivs and one deficits evaluation;
+        each equals its own evaluator's result exactly."""
         rho = np.asarray(r, dtype=float) / self.R
         derivs = self.v_derivs(rho)
+        a, c, _ = self.deficits(r)
         return (
             self.R**2 * self.phi(rho),
             _over_rho(derivs[0], rho),
             derivs[1],
             self._bilaplacian(rho, *derivs),
+            4.0 * a,
+            self._weight2(a, c),
         )
 
     def _bilaplacian(self, rho, v, v1, v2, v3):

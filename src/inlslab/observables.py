@@ -2,20 +2,19 @@
 
 All weighted integrals use the single shared rectangle-rule quadrature so
 that algebraic identities among them hold at the discrete level. The
-radial cutoff derivatives are closed forms lifted to the Cartesian grid;
-x . grad u comes from the Cartesian spectral gradient so non-radial fields
-are handled natively.
+radial cutoff derivatives and the weights Phi_1 and Phi_2 are the closed
+forms of cutoff.CutoffProfile lifted to the Cartesian grid; x . grad u
+comes from the Cartesian spectral gradient so non-radial fields are
+handled natively.
 
 Support boxes: v and its first three derivatives vanish for rho = r/R >= 2,
-so every virial weight but phi_R is exactly 0 or a constant outside the
-ball r < 2R. ProfileOnGrid keeps those weights only on the index box
-|x_j| < 2R of its radius, which holds the ball, and each of their sums
-runs over the box alone. Outside it the weights of t1, t2, t3, t4 and z_R'
-are 0, the K1 weight is 2 and the K2 weight is (2-b) 2 + (2N-2+b) 2; K1
-and K2 add that constant times the density's full-grid sum less its box
-sum. z_R keeps its full-grid sum: phi_R is a nonzero constant outside the
-ball, and z_R feeds a second difference in time that magnifies any change
-in its rounding.
+so outside the ball r < 2R phi_R, Phi_1 and Phi_2 are constant and every
+other virial weight is 0. ProfileOnGrid keeps the weights but phi_R only on
+the index box |x_j| < 2R of its radius, which holds the ball, and their
+sums run over the box alone; K1 and K2 add the constant Phi_1 or Phi_2
+times the density's full-grid sum less its box sum. z_R keeps its full-grid
+sum: phi_R feeds a second difference in time that magnifies any change in
+its rounding.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Field
+from .core import Field, InvariantError
 from .cutoff import CutoffProfile
-from .spectral import SpectralPlan
+from .spectral import SpectralPlan, abs_pow
 
 ALPHA_ENERGY_FLOOR = 1e-10
 
@@ -74,9 +73,18 @@ class Sample:
 
 class GridWeights:
     """Per-(grid, params) arrays reused across time samples: the cell
-    centres along one axis, |x| and |x|^-b."""
+    centres along one axis, |x| and |x|^-b, for b < min(2, N) (check_b)."""
+
+    @staticmethod
+    def check_b(params) -> None:
+        top = min(2, params.ndim)  # for N = 1, |x|^-b is not integrable at 0 from b = 1
+        if not params.b < top:
+            raise InvariantError(
+                f"the dynamics need b in (0, {top}) for N={params.ndim}, got b={params.b}"
+            )
 
     def __init__(self, grid, params):
+        self.check_b(params)
         self.params = params
         self.axis = grid.axis_coords()
         self.r = grid.radii()
@@ -89,7 +97,7 @@ class ProfileOnGrid:
     evaluation on the support box |x_j| < 2R (box, one slice per axis):
     phi_R flat over the whole grid, R^2 phi(2) outside the box, and every
     other weight on the box alone. Outside the box those weights are 0,
-    except the K1 and K2 weights, which equal K1_tail and K2_tail."""
+    except Phi_1 and Phi_2, which equal phi1_outer and phi2_outer."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
         N, b = gw.params.ndim, gw.params.b
@@ -97,25 +105,22 @@ class ProfileOnGrid:
         lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
         self.box = (slice(lo, hi),) * N
         r = gw.r[self.box]
-        phi_R, self.dphi_over_r, d2phi, self.bilap = profile.virial_profile(r)
-        # every r outside the box is at least 2R, where phi is constant
-        self.phi_R = np.full(gw.r.size, profile.R**2 * profile.phi_outer)
+        phi_R, self.dphi_over_r, d2phi, self.bilap, self.phi1, self.phi2 = profile.virial_profile(r)
+        # every r outside the box is at least 2R, where phi_R, Phi_1 and Phi_2 are constant
+        outer = [float(w(2.0 * profile.R)) for w in (profile.phi_R, profile.phi1, profile.phi2)]
+        self.phi1_outer, self.phi2_outer = outer[1:]
+        self.phi_R = np.full(gw.r.size, outer[0])
         self.phi_R.reshape(gw.r.shape)[self.box] = phi_R  # a view of the flat array
         # (d2/r^2 - dphi/r^3) = (d2phi - dphi/r)/r^2
         self.aniso = (d2phi - self.dphi_over_r) / r**2
         self.w_t4 = -d2phi - (N - 1.0 + b * N / (2.0 - b)) * self.dphi_over_r
-        self.w_K1 = 2.0 - self.dphi_over_r  # Phi_1 / 4
-        self.w_K2 = (2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * self.w_K1  # Phi_2 cN / 2
-        # the two formulas above at d2phi = dphi_over_r = 0
-        self.K1_tail = 2.0
-        self.K2_tail = (2.0 - b) * 2.0 + (2.0 * N - 2.0 + b) * 2.0
 
 
 class Densities:
     """The pointwise densities of one field that conservation, the sup norm
-    and the virial pass share: |u|, |u|^2, |x|^-b |u|^p and the full-grid
-    sum of the last. Each is formed once, at its first use, so its cost
-    falls inside the first diagnostic that reads it."""
+    and the virial pass share: |u|, |u|^2, |x|^-b |u|^p (as |x|^-b |u|^sigma
+    |u|^2) and the full-grid sum of the last. Each is formed once, at its
+    first use, so its cost falls inside the first diagnostic that reads it."""
 
     def __init__(self, f: Field, gw: GridWeights):
         self._f = f
@@ -131,7 +136,7 @@ class Densities:
 
     @cached_property
     def wup(self) -> np.ndarray:
-        return self._gw.w_b * self.absu2 ** (self._f.params.p / 2.0)
+        return self._gw.w_b * abs_pow(self.absu, self._f.params.sigma) * self.absu2
 
     @cached_property
     def wup_total(self) -> float:
@@ -165,15 +170,14 @@ def virial_z_second(
     """R -> VirialReport for every radius of pgs (R -> ProfileOnGrid), from
     one gradient pass: z_R, z_R' = 2 Im int (partial_r phi_R / r)
     (x . grad u) conj(u), and the second derivative (four-term radial form)
-    split into 2-alpha*E + K1 + K2 + K3; alpha_check records the measured
+    split into 2-alpha*E + K1 + K2 + K3, with K1 = -int Phi_1 |grad u|^2 +
+    t2 and K2 = int Phi_2 |x|^-b |u|^p; alpha_check records the measured
     multiple of energy, the conservation report's energy of f, closing the
     decomposition. Every sum but z_R's runs over the radius's support box."""
     dens = dens or Densities(f, gw)
-    params = f.params
     quad = gw.quad
-    N, b = params.ndim, params.b
-    cN = N + 2.0 - b
-    coef = (4.0 - 2.0 * b) / cN
+    N, b = f.params.ndim, f.params.b
+    coef = (4.0 - 2.0 * b) / (N + 2.0 - b)
 
     grads, xdot = plan.radial_derivative_arrays(f.values)
     u = f.values
@@ -195,7 +199,7 @@ def virial_z_second(
         # formed there alone
         box = pg.box
         grad2_b, wup_b, xdot_b, u_b = grad2[box], wup[box], xdot[box], u[box]
-        out = np.empty(pg.w_K1.shape)
+        out = np.empty(pg.phi1.shape)
 
         t1 = 4.0 * quad * total(pg.dphi_over_r, grad2_b, out)
         t2 = 4.0 * quad * total(pg.aniso, np.abs(xdot_b) ** 2, out)
@@ -204,10 +208,10 @@ def virial_z_second(
         z_second = t1 + t2 + t3 + t4
 
         # the constant weight outside the box times the density's sum there
-        K1_out = pg.K1_tail * (grad2_total - float(np.sum(grad2_b)))
-        K2_out = pg.K2_tail * (dens.wup_total - float(np.sum(wup_b)))
-        K1 = -4.0 * quad * (total(pg.w_K1, grad2_b, out) + K1_out) + t2
-        K2 = (2.0 / cN) * quad * (total(pg.w_K2, wup_b, out) + K2_out)
+        K1_out = pg.phi1_outer * (grad2_total - float(np.sum(grad2_b)))
+        K2_out = pg.phi2_outer * (dens.wup_total - float(np.sum(wup_b)))
+        K1 = -quad * (total(pg.phi1, grad2_b, out) + K1_out) + t2
+        K2 = quad * (total(pg.phi2, wup_b, out) + K2_out)
         K3 = t3
 
         if abs(energy) > ALPHA_ENERGY_FLOOR:

@@ -30,7 +30,7 @@ from .core import (
     realize,
     write_checkpoint,
 )
-from .spectral import SpectralPlan, unit_phasor
+from .spectral import SpectralPlan, abs_pow, unit_phasor
 
 OUTCOME_REACHED_T_MAX = "reached_t_max"
 OUTCOME_BLOWUP = "blowup_detected"
@@ -71,8 +71,8 @@ class RunReport:
     t_end: float
     steps: int
     series: list
-    energy0: float
-    mass0: float
+    E0: float
+    M0: float
     blowup_time_bracket: tuple | None = None
     gradnorm_ceiling_hit: bool = False
     supnorm_ceiling_hit: bool = False
@@ -135,18 +135,6 @@ class RunReport:
         }
 
 
-def _abs_pow(absu: np.ndarray, sigma: float) -> np.ndarray:
-    # |u|^sigma dominates the step cost for non-integer exponents; the
-    # L2-critical sigma = (4-2b)/N is a small integer for many (N, b)
-    n = int(sigma)
-    if n == sigma and 1 <= n <= 4:
-        out = absu
-        for _ in range(n - 1):
-            out = out * absu
-        return out
-    return absu**sigma
-
-
 def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     """Exact potential-only subflow u -> u exp(i dt V |u|^sigma), V the
     potential (|x|^-b, or zero to turn the nonlinearity off).
@@ -156,7 +144,7 @@ def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     centres) the rate is NaN or infinite whenever u is not finite, since
     np.max propagates NaN; run relies on this as its finiteness check.
     """
-    rate = potential * _abs_pow(np.abs(u), sigma)
+    rate = potential * abs_pow(np.abs(u), sigma)
     # The phasor is a temporary on purpose: numpy then evaluates the product
     # with the operands in the order it used for u * (cos + 1j sin), which
     # depends on the array size, so the rounding stays that of this formula.
@@ -234,7 +222,7 @@ def run(
     # phase-rotation rate |x|^-b |u|^sigma driving the step control; after
     # the first step it is reused from the phase stage (one step stale,
     # which the c_cfl margin absorbs)
-    rate = float(np.max(gw.w_b * _abs_pow(np.abs(u), sigma)))
+    rate = float(np.max(gw.w_b * abs_pow(np.abs(u), sigma)))
     while stop is None and t < cfg.t_max:
         dt = min(cfg.dt0, cfg.c_cfl / rate if rate > 0 else cfg.dt0)
         if dt < cfg.dt_floor:
@@ -279,8 +267,8 @@ def run(
         t_end=t,
         steps=step,
         series=series,
-        energy0=series[0].conservation.energy,
-        mass0=mass0,
+        E0=series[0].conservation.energy,
+        M0=mass0,
         blowup_time_bracket=bracket,
         gradnorm_ceiling_hit=bracket is not None and series[-1].grad_norm > cfg.gradnorm_ceiling,
         supnorm_ceiling_hit=bracket is not None and series[-1].sup_norm > cfg.supnorm_ceiling,

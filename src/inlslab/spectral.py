@@ -43,6 +43,17 @@ def unit_phasor(theta: np.ndarray) -> np.ndarray:
     return e
 
 
+def abs_pow(absu: np.ndarray, s: float) -> np.ndarray:
+    """|u|^s from |u| (absu itself at s = 1); an integer s up to 4 by products, faster than pow."""
+    n = int(s)
+    if n == s and 1 <= n <= 4:
+        out = absu if n == 1 else absu * absu
+        for _ in range(n - 2):
+            out *= absu  # in place: one power array alive at a time, not two
+        return out
+    return absu**s
+
+
 class SpectralPlan:
     """Frequency vectors and multipliers for one grid.
 
@@ -86,7 +97,9 @@ class SpectralPlan:
         """d_j u for j = axis, from one forward and one inverse transform
         along that axis alone; values is not modified."""
         fhat = _fft.fftn(values, axes=(axis,))
-        fhat *= 1j * self._xi_d_axes[axis]
+        # in place, in two passes: 1j * xi would be a field-sized temporary in 1D
+        fhat *= self._xi_d_axes[axis]
+        fhat *= 1j
         return _fft.ifftn(fhat, axes=(axis,), out=fhat)
 
     def gradient_arrays(self, values: np.ndarray) -> list:

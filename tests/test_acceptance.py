@@ -278,7 +278,7 @@ def test_criterion_5_blowup_demonstration(blowup_centered):
     )
     rep = run(init, PARAMS, grid, cfg, profiles)
     assert rep.outcome == OUTCOME_BLOWUP
-    assert rep.energy0 < 0.0
+    assert rep.E0 < 0.0
     assert rep.dt_floor_hit and rep.gradnorm_ceiling_hit
     assert rep.series[-1].grad_norm / gn0_s > 1e3
     frac_shifted = rep.concavity_fraction(largest)
@@ -305,11 +305,11 @@ def test_criterion_6_positive_energy_control():
         supnorm_ceiling=1e12,
     )
     rep = run(init, PARAMS, grid, cfg, profiles)
-    assert rep.energy0 > 0.0
+    assert rep.E0 > 0.0
     assert rep.outcome == OUTCOME_REACHED_T_MAX
     assert rep.t_end == pytest.approx(2.0, rel=1e-9)
     assert not rep.dt_floor_hit and not rep.gradnorm_ceiling_hit
-    print(f"criterion 6: E0={rep.energy0:+.4f} run reached t_max with no detector")
+    print(f"criterion 6: E0={rep.E0:+.4f} run reached t_max with no detector")
 
 
 def test_criterion_7_inequality_suite():

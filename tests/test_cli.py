@@ -16,6 +16,7 @@ from inlslab.cli import (
     CONFIG_KEYS,
     EXIT_CODES,
     ConfigError,
+    ExperimentConfig,
     build_parser,
     main,
     parse_config,
@@ -31,7 +32,7 @@ from inlslab.core import (
     read_checkpoint,
     write_checkpoint,
 )
-from inlslab.solver import SolverConfig
+from inlslab.solver import RunReport, SolverConfig
 
 # few, reproducible examples: these run in the default suite
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -119,6 +120,10 @@ def config_texts(draw):
     # svg plots are drawn from the series CSVs, so svg = true needs them
     if "svg = True" in lines and any(f"csv = {no}" in lines for no in ("false", "0")):
         lines.remove("svg = True")
+    # the dynamics take b < min(2, N): below 1 when N is 1, its default included
+    b_line = next((line for line in lines if line.startswith("b = ")), None)
+    if b_line and not any(f"N = {n}" in lines for n in (2, 3)):
+        lines[lines.index(b_line)] = f"b = {draw(_floats(0.05, 0.95))}"
     return "\n".join(lines) + "\n"
 
 
@@ -188,6 +193,13 @@ class TestParseConfig:
     def test_b_out_of_range_names_constraint(self):
         with pytest.raises(ConfigError, match=r"\(0, 2\)"):
             parse_config(MINIMAL.replace("b = 0.5", "b = 2.5"))
+        # |x|^-b is not integrable at 0 in 1D for b >= 1; in 2D it is
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("b = 0.5", "b = 1.5"))
+        assert exc.value.violations == [
+            "[problem] the dynamics need b in (0, 1) for N=1, got b=1.5"
+        ]
+        parse_config(MINIMAL.replace("N = 1", "N = 2").replace("b = 0.5", "b = 1.5"))
 
     def test_n2_small_k_rejected(self):
         text = MINIMAL.replace("N = 1", "N = 2").replace("b = 0.5", "b = 1.0")
@@ -435,9 +447,25 @@ class TestSimulate:
         fd = rows[:, 9][np.isfinite(rows[:, 9])]
         assert man["tracked_concavity"]["2"] == np.mean(fd < 0.0)
 
-    def test_bad_config_exit_code(self, tmp_path):
-        cfg_path = self.write_cfg(tmp_path, MINIMAL.replace("b = 0.5", "b = 2.5"))
-        assert main(["simulate", "--config", cfg_path]) == 1
+    def test_manifest_keys_are_the_config_and_report_fields(self, tmp_path):
+        # a RunReport field added later lands in the manifest by itself
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", self.write_cfg(tmp_path), "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        config_keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "out_dir"]
+        report_keys = [f.name for f in dataclasses.fields(RunReport)]
+        report_keys = [k for k in report_keys if k not in ("series", "checkpoints")]
+        derived = ["alpha_summary", "tracked_concavity", "max_mass_drift", "max_energy_drift"]
+        assert list(man) == ["run_id", *config_keys, *report_keys, *derived, "files"]
+        assert {"E0", "M0", "steps", "blowup_time_bracket"} <= set(report_keys)
+
+    def test_bad_config_exit_code(self, tmp_path, capsys):
+        for b, message in (("2.5", "b must lie in (0, 2)"), ("1.5", "b in (0, 1) for N=1")):
+            cfg_path = self.write_cfg(tmp_path, MINIMAL.replace("b = 0.5", f"b = {b}"))
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", cfg_path, "--out-dir", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_mass_drift_is_an_instability(self, tmp_path, monkeypatch):
         # every sample after the first reports 1e-5 more mass than it has
@@ -512,11 +540,14 @@ class TestSweepPlotAudit:
         assert ks == [5, 8]
 
     def test_sweep_value_that_fails_is_an_error_row(self, tmp_path, capsys):
-        code, _out, lines = self.sweep_b(tmp_path, "2.5,0.5")
-        assert code == 1
-        assert lines[1] == "2.5,error,nan,nan,nan"
-        assert lines[2].startswith("0.5,reached_t_max,")
-        assert "b=2.5" in capsys.readouterr().err
+        # b = 1.5 is a valid ProblemParams, past the range of the 1D dynamics
+        for bad in ("2.5", "1.5"):
+            code, out, lines = self.sweep_b(tmp_path, f"{bad},0.5")
+            assert code == 1
+            assert lines[1] == f"{bad},error,nan,nan,nan"
+            assert lines[2].startswith("0.5,reached_t_max,")
+            assert f"b={bad}" in capsys.readouterr().err
+            assert not os.path.exists(os.path.join(out, f"b_{bad}"))
 
     def test_sweep_over_a_non_integer_k_is_an_error_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -416,11 +416,13 @@ def test_virial_profile_equals_the_separate_evaluators(N, b, R):
     prof = build_cutoff(default_k(p), R, p)
     # the origin, every piece, both joints and the outer region
     r = np.concatenate([[0.0, R, prof.r_star * R, 2.0 * R], np.linspace(0.0, 5.0 * R, 1001)])
-    phi_R, dphi_over_r, d2phi, bilap = prof.virial_profile(r)
+    phi_R, dphi_over_r, d2phi, bilap, phi1, phi2 = prof.virial_profile(r)
     assert np.array_equal(phi_R, prof.phi_R(r))
     assert np.array_equal(dphi_over_r, prof.dphi_R_over_r(r))
     assert np.array_equal(d2phi, prof.d2phi_R(r))
     assert np.array_equal(bilap, prof.bilaplacian_phi_R(r))
+    assert np.array_equal(phi1, prof.phi1(r))
+    assert np.array_equal(phi2, prof.phi2(r))
 
 
 def test_cli_imports_no_interpolation_or_optimization():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from inlslab.core import Field, Grid, InitialData, ProblemParams, realize
+from inlslab.core import Field, Grid, InitialData, InvariantError, ProblemParams, realize
 from inlslab.cutoff import build_cutoff, default_k
 from inlslab import observables
 from inlslab.observables import (
@@ -296,22 +296,37 @@ def test_grid_weights_radius_power(grid):
     gw = GridWeights(grid, PARAMS)
     assert np.allclose(gw.w_b, grid.radii() ** -0.5)
     assert gw.quad == grid.cell_volume
+    # |x|^-b is not integrable at 0 for N = 1, b >= 1; for N >= 2 it is
+    for b in (1.0, 1.5):
+        with pytest.raises(InvariantError, match=r"b in \(0, 1\) for N=1"):
+            GridWeights(Grid(1, 8.0, 64), ProblemParams(1, b))
+        GridWeights(Grid(2, 8.0, 8), ProblemParams(2, b))
+
+
+def differenced(N, b, dphi_over_r, d2phi):
+    """(Phi_1, Phi_2) from the profile's derivatives, the way the paper
+    defines them: Phi_1 = 4 (2 - dphi/r), Phi_2 = (2/(N+2-b)) ((2-b)(2 -
+    d2phi) + (2N-2+b)(2 - dphi/r)); at r >= 2R both derivatives are 0."""
+    a = 2.0 - dphi_over_r
+    return 4.0 * a, (2.0 / (N + 2.0 - b)) * ((2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * a)
 
 
 def direct_weights(prof, gw):
     """Every virial weight but phi_R, evaluated the direct way at every grid
-    point from the profile's own evaluators, shaped like the grid."""
+    point from the profile's own evaluators, shaped like the grid; Phi_1
+    and Phi_2 by differencing, not from cutoff's closed forms."""
     N, b = gw.params.ndim, gw.params.b
     r = gw.r
     dphi_over_r = prof.dphi_R_over_r(r)
     d2phi = prof.d2phi_R(r)
+    phi1, phi2 = differenced(N, b, dphi_over_r, d2phi)
     return {
         "dphi_over_r": dphi_over_r,
         "bilap": prof.bilaplacian_phi_R(r),
         "aniso": (d2phi - dphi_over_r) / r**2,
         "w_t4": -d2phi - (N - 1.0 + b * N / (2.0 - b)) * dphi_over_r,
-        "w_K1": 2.0 - dphi_over_r,
-        "w_K2": (2.0 - b) * (2.0 - d2phi) + (2.0 * N - 2.0 + b) * (2.0 - dphi_over_r),
+        "phi1": phi1,
+        "phi2": phi2,
     }
 
 
@@ -335,36 +350,37 @@ def test_profile_on_grid_arrays_match_profile(grid, gw):
         assert np.count_nonzero(inside) == held
         assert np.array_equal(pg.phi_R, prof.phi_R(gw.r.ravel()))
         outside = outside_box(pg, grid.shape)
-        tails = {"w_K1": pg.K1_tail, "w_K2": pg.K2_tail}
-        for name, w in direct_weights(prof, gw).items():
+        direct = direct_weights(prof, gw)
+        for name in ("dphi_over_r", "bilap", "aniso", "w_t4"):
+            w = direct[name]
             assert np.array_equal(getattr(pg, name), w[pg.box]), name
-            # exactly 0, or the constant tail, outside the box
-            assert np.all(w[outside] == tails.get(name, 0.0)), name
+            assert np.all(w[outside] == 0.0), name
 
 
 @pytest.mark.parametrize("ndim,b,M", [(1, 0.5, 2048), (2, 1.0, 64), (3, 0.5, 16)])
 @pytest.mark.parametrize("R", [0.5, 2.0, 4.0])
 def test_weights_match_the_closed_form_phi1_and_phi2(ndim, b, M, R):
-    # w_K1 and w_K2 difference the profile; phi1 and phi2 are closed forms
-    # per region, so the two sides share no arithmetic
+    # Phi_1 and Phi_2 on the grid are cutoff's closed forms, bit for bit on
+    # the box and their constants at r >= 2R outside it; direct_weights
+    # differences the profile, so the cross-check shares no arithmetic
     params = ProblemParams(ndim, b)
     grid = Grid(ndim, 8.0, M)
     gw = GridWeights(grid, params)
     prof = build_cutoff(default_k(params), R, params)
     pg = ProfileOnGrid(prof, gw)
     direct = direct_weights(prof, gw)
-    outside = outside_box(pg, grid.shape)
-    r = gw.r
-    for name, tail, closed in (
-        ("w_K1", pg.K1_tail, prof.phi1(r) / 4.0),
-        ("w_K2", pg.K2_tail, prof.phi2(r) * (ndim + 2.0 - b) / 2.0),
+    outer_r = gw.r[outside_box(pg, grid.shape)]
+    assert np.all(outer_r >= 2.0 * R)
+    for name, outer, evaluator in (
+        ("phi1", pg.phi1_outer, prof.phi1),
+        ("phi2", pg.phi2_outer, prof.phi2),
     ):
-        box_weight = getattr(pg, name)
-        assert np.array_equal(box_weight, direct[name][pg.box])
-        assert np.all(direct[name][outside] == tail)
-        on_grid = np.full(grid.shape, tail)
-        on_grid[pg.box] = box_weight
-        assert np.max(np.abs(on_grid - closed)) <= 1e-13
+        assert np.array_equal(getattr(pg, name), evaluator(gw.r[pg.box])), name
+        assert np.all(evaluator(outer_r) == outer), name
+        assert evaluator(np.array([2.0 * R, 3.0 * R, 1e3 * R])).tolist() == [outer] * 3, name
+        on_grid = np.full(grid.shape, outer)
+        on_grid[pg.box] = getattr(pg, name)
+        assert np.max(np.abs(on_grid - direct[name])) <= 1e-13, name
 
 
 # A box sum rounds differently from the full-grid sum of the same
@@ -408,13 +424,14 @@ def reference_virials(plan, f, gw, profiles):
         t3, s3 = weighted(-1.0, w["bilap"], absu2)
         t4, s4 = weighted(coef, w["w_t4"], wup)
         z_second = t1 + t2 + t3 + t4
-        K1, sK1 = weighted(-4.0, w["w_K1"], grad2)
+        K1, sK1 = weighted(-1.0, w["phi1"], grad2)
         K1 += t2
-        K2, sK2 = weighted(2.0 / cN, w["w_K2"], wup)
+        K2, sK2 = weighted(1.0, w["phi2"], wup)
         alpha = (z_second - K1 - K2 - t3) / energy
-        # the K1 and K2 weights at r >= 2R
-        K1_tail = weighted(-4.0, 2.0, grad2)[1]
-        K2_tail = weighted(2.0 / cN, (2.0 - b) * 2.0 + (2.0 * N - 2.0 + b) * 2.0, wup)[1]
+        # Phi_1 and Phi_2 at r >= 2R
+        phi1_outer, phi2_outer = differenced(N, b, 0.0, 0.0)
+        K1_tail = weighted(-1.0, phi1_outer, grad2)[1]
+        K2_tail = weighted(1.0, phi2_outer, wup)[1]
         scales = {
             "zR_second_formula": s1 + s2 + s3 + s4,
             "K1": sK1 + s2 + K1_tail,
@@ -468,8 +485,9 @@ def test_weighted_sums_match_the_per_radius_formulas(ndim, b, M):
 @given(grid=GRIDS, b=st.sampled_from([0.5, 1.0, 1.5]), scale=st.floats(0.01, 0.6), seed=SEEDS)
 def test_box_sums_match_full_grid_sums(grid, b, scale, seed):
     # radii from boxes of no point or one to a box that covers the grid
-    # (R >= L/2), on fields with mass everywhere, so every tail is exercised
-    params = ProblemParams(grid.ndim, b)
+    # (R >= L/2), on fields with mass everywhere, so every tail is exercised.
+    # The dynamics take b < min(2, N), so b is halved in 1D
+    params = ProblemParams(grid.ndim, b * min(2, grid.ndim) / 2.0)
     prof = build_cutoff(default_k(params), scale * grid.half_width, params)
     plan = SpectralPlan(grid)
     gw = GridWeights(grid, params)

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -160,6 +161,33 @@ class TestGradientKernel:
         assert np.array_equal(u, before)
         plan.radial_derivative_arrays(u)
         assert np.array_equal(u, before)
+
+    @pytest.mark.parametrize("M", [64, 2048, 65536])
+    def test_derivative_multiplies_in_place(self, M):
+        # the bits of multiplying by the temporary 1j * xi, a field-sized
+        # array in 1D; without it the peak above the input is the
+        # transformed field, which the result reuses, and the FFT's scratch
+        grid = Grid(1, 20.0, M)
+        plan = SpectralPlan(grid)
+        rng = np.random.default_rng(M)
+        u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        fhat = np.fft.fftn(u, axes=(0,))
+        fhat *= 1j * plan._xi_d_axes[0]
+        reference = np.fft.ifftn(fhat, axes=(0,))
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            (g,) = plan.gradient_arrays(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert np.array_equal(g.view(np.uint64), reference.view(np.uint64))
+        if M == 65536:  # a small field's peak is Python objects, not arrays
+            assert peak - before <= 1.5 * u.nbytes
 
     def test_gradient_forms_no_squared_wavenumbers(self):
         # gradient-only plans (the interpolation inequalities) never hold
