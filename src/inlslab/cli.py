@@ -197,12 +197,10 @@ def write_series_csv(path, report, R):
 def simulate(cfg: ExperimentConfig, run_id: str = "run") -> int:
     """Run one experiment and emit manifest, CSVs, optional checkpoints/SVGs."""
     k = default_k(cfg.params) if cfg.cutoff_k is None else cfg.cutoff_k
-    # validated before anything is written, so a rejected b, k or R leaves no directory
-    obs.GridWeights.check_b(cfg.params)
     profiles = [build_cutoff(k, R, cfg.params) for R in cfg.cutoff_R]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints") if cfg.emit_checkpoints else None
     report = run(cfg.init, cfg.params, cfg.grid, cfg.solver, profiles, checkpoint_dir=ckpt_dir)
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     files = []
     if cfg.emit_csv:
@@ -527,7 +525,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (InvariantError, FileNotFoundError) as exc:
+    except (InvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -97,10 +97,14 @@ class ProfileOnGrid:
     evaluation on the support box |x_j| < 2R (box, one slice per axis):
     phi_R flat over the whole grid, R^2 phi(2) outside the box, and every
     other weight on the box alone. Outside the box those weights are 0,
-    except Phi_1 and Phi_2, which equal phi1_outer and phi2_outer."""
+    except Phi_1 and Phi_2, which equal phi1_outer and phi2_outer. The
+    profile must be built for the (N, b) of gw."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
         N, b = gw.params.ndim, gw.params.b
+        if profile.params != gw.params:
+            p = profile.params
+            raise InvariantError(f"cutoff profile built for N={p.ndim}, b={p.b}, not N={N}, b={b}")
         inside = np.flatnonzero(np.abs(gw.axis) < 2.0 * profile.R)
         lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
         self.box = (slice(lo, hi),) * N

@@ -151,17 +151,6 @@ def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     return u * unit_phasor(dt * rate), float(np.max(rate))
 
 
-def strang_step(plan: SpectralPlan, f: Field, dt: float, potential: np.ndarray) -> Field:
-    """free(dt/2) o phase(dt) o free(dt/2), potential as in _phase_step.
-    run merges adjacent half-steps instead; this is its reference."""
-    if dt <= 0:
-        raise InvariantError("dt must be positive")
-    u = plan.free_propagate_array(f.values, 0.5 * dt)
-    u, _ = _phase_step(u, dt, potential, f.params.sigma)
-    u = plan.free_propagate_array(u, 0.5 * dt)
-    return Field(f.params, f.grid, u)
-
-
 def run(
     init: InitialData,
     params: ProblemParams,

@@ -23,7 +23,7 @@ from numpy import fft as _fft
 from .core import Field, Grid, InvariantError
 
 
-MULTIPLIER_CACHE_SIZE = 2  # a run's full step and flush half-step; oldest evicted
+MULTIPLIER_CACHE_SIZE = 2  # a run's full step and flush half-step; least recently used evicted
 HEAP_HOLD_POINTS = 2**20  # 16 MiB of complex128; glibc ignores freed blocks above 32 MiB
 
 # Allocate and drop one untouched block, once per process: freeing it raises
@@ -60,8 +60,8 @@ class SpectralPlan:
     The first-derivative wavenumbers are fixed at construction; |xi|^2
     (k2) and its Nyquist-zeroed form (k2d) are formed at first use.
     Free-propagator multipliers exp(-i |xi|^2 dt) are cached per dt, at
-    most MULTIPLIER_CACHE_SIZE of them, the oldest evicted first; calls
-    mutate the cache, so a plan is not safe for concurrent use.
+    most MULTIPLIER_CACHE_SIZE of them, the least recently used evicted
+    first; calls mutate the cache, so a plan is not safe for concurrent use.
     """
 
     def __init__(self, grid: Grid):
@@ -123,14 +123,14 @@ class SpectralPlan:
         values itself."""
         if dt == 0.0:
             return values
-        m = self._multipliers.get(dt)
+        m = self._multipliers.pop(dt, None)
         if m is None:
             if len(self._multipliers) >= MULTIPLIER_CACHE_SIZE:
                 del self._multipliers[next(iter(self._multipliers))]
             # 0.0 - dt k2 keeps the signed zeros of np.exp(-1j * k2 * dt),
             # so the multiplier has the same bits as that formula
             m = unit_phasor(0.0 - dt * self.k2)
-            self._multipliers[dt] = m
+        self._multipliers[dt] = m  # (re)inserted last: the cache's order is that of use
         fhat = _fft.fftn(values)
         fhat *= m
         return _fft.ifftn(fhat, out=fhat)

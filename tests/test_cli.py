@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inlslab import observables
+from inlslab import cli, observables
 from inlslab.cli import (
     CONFIG_KEYS,
     EXIT_CODES,
@@ -32,7 +32,7 @@ from inlslab.core import (
     read_checkpoint,
     write_checkpoint,
 )
-from inlslab.solver import RunReport, SolverConfig
+from inlslab.solver import RunReport, SolverConfig, run
 
 # few, reproducible examples: these run in the default suite
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -424,6 +424,39 @@ class TestSimulate:
         cfg_path = self.write_cfg(tmp_path, text)
         assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 1
         assert "center has 2 coordinates, more than N = 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
+    def test_restart_checkpoint_that_cannot_be_read_is_an_error(self, tmp_path, capsys, is_dir):
+        # a directory raises IsADirectoryError, not FileNotFoundError
+        ckpt = tmp_path / "start.bin"
+        if is_dir:
+            ckpt.mkdir()
+        text = MINIMAL.replace("kind = gaussian", f"kind = from_checkpoint\ncheckpoint = {ckpt}")
+        out = tmp_path / "restart"
+        extra = "\n[emit]\ncheckpoints = true\n"
+        assert main(["simulate", "--config", self.write_cfg(tmp_path, text, extra), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
+        assert not out.exists()
+
+    def test_config_that_is_a_directory_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert not out.exists()
+
+    def test_out_dir_that_cannot_be_made_is_reported_after_the_run(self, tmp_path, capsys, monkeypatch):
+        # out_dir is created only once run has accepted the inputs and returned
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: runs.append(1) or run(*a, **kw))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", self.write_cfg(tmp_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert runs == [1] and out.read_text() == ""
 
     def test_floor_crossing_alone_is_not_a_blowup(self, tmp_path):
         # a narrow positive-energy bump: the step falls under dt_floor, but
@@ -793,6 +826,7 @@ class TestSweepPlotAudit:
             argv = ["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "restart")]
         assert main(argv) == 1
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "restart").exists()
 
     @pytest.mark.parametrize("command", ["plot", "virial-audit"])
     def test_unlisted_series_csv_is_a_clean_error(self, tmp_path, capsys, command):

@@ -303,6 +303,13 @@ def test_grid_weights_radius_power(grid):
         GridWeights(Grid(2, 8.0, 8), ProblemParams(2, b))
 
 
+def test_profile_on_grid_rejects_a_profile_for_another_problem():
+    # its Phi_1, Phi_2 and bilaplacian would be those of N = 2
+    gw = GridWeights(Grid(1, 8.0, 64), PARAMS)
+    with pytest.raises(InvariantError, match="built for N=2, b=0.5, not N=1, b=0.5"):
+        ProfileOnGrid(build_cutoff(9, 2.0, ProblemParams(2, 0.5)), gw)
+
+
 def differenced(N, b, dphi_over_r, d2phi):
     """(Phi_1, Phi_2) from the profile's derivatives, the way the paper
     defines them: Phi_1 = 4 (2 - dphi/r), Phi_2 = (2/(N+2-b)) ((2-b)(2 -

@@ -26,7 +26,6 @@ from inlslab.solver import (
     SolverConfig,
     _phase_step,
     run,
-    strang_step,
 )
 from inlslab.spectral import SpectralPlan, abs_pow
 
@@ -41,6 +40,17 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 def gaussian_field(amplitude=0.5, width=1.0, grid=GRID, params=PARAMS):
     return realize(InitialData(kind="gaussian", amplitude=amplitude, width=width), params, grid)
+
+
+def strang_step(plan: SpectralPlan, f: Field, dt: float, potential: np.ndarray) -> Field:
+    """free(dt/2) o phase(dt) o free(dt/2), potential as in _phase_step.
+    run merges adjacent half-steps instead; this is its reference."""
+    if dt <= 0:
+        raise InvariantError("dt must be positive")
+    u = plan.free_propagate_array(f.values, 0.5 * dt)
+    u, _ = _phase_step(u, dt, potential, f.params.sigma)
+    u = plan.free_propagate_array(u, 0.5 * dt)
+    return Field(f.params, f.grid, u)
 
 
 class TestSolverConfig:
@@ -410,6 +420,16 @@ class TestRun:
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
         with pytest.raises(InvariantError, match="on an N=1 grid"):
             run(init, ProblemParams(2, 1.0), GRID, self.cfg(), PROFILES)
+
+    @pytest.mark.parametrize("other", [ProblemParams(2, 0.5), ProblemParams(1, 0.25)])
+    def test_profile_for_another_problem_is_rejected(self, tmp_path, other):
+        # its Phi_1, Phi_2 and bilaplacian would not close this run's z_R''
+        init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
+        ckpt_dir = tmp_path / "checkpoints"
+        profile = build_cutoff(9, 2.0, other)
+        with pytest.raises(InvariantError, match=f"built for N={other.ndim}, b={other.b}, not N=1, b=0.5"):
+            run(init, PARAMS, GRID, self.cfg(), [PROFILES[0], profile], checkpoint_dir=str(ckpt_dir))
+        assert not ckpt_dir.exists()
 
     def test_roundoff_short_end_is_sampled(self, tmp_path):
         # ten steps of 0.1 sum to 0.9999999999999999, so the run ends on the
