@@ -248,7 +248,8 @@ SWEEP_AXES = {
 
 def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
     """One run per value, in order; a value that gives an invalid
-    experiment becomes an error row, and the sweep returns 1 if any did."""
+    experiment or an unreadable input becomes an error row, and the sweep
+    returns 1 if any did."""
     if axis not in SWEEP_AXES:
         raise InvariantError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}, not {axis!r}")
     clash = _clash(values, lambda v: f"{axis}_{v:g}")
@@ -263,7 +264,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
             try:
                 run_cfg = replace(SWEEP_AXES[axis](cfg, value), out_dir=sub)
                 simulate(run_cfg, run_id=f"sweep_{axis}_{value:g}")
-            except InvariantError as exc:
+            except (InvariantError, OSError) as exc:  # as main reports them
                 print(f"error: {axis}={value:g}: {exc}", file=sys.stderr)
                 fh.write(f"{_fmt(float(value))},error,nan,nan,nan\n")
                 failed = True

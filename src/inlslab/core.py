@@ -213,7 +213,7 @@ def realize(init: InitialData, params: ProblemParams, grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _write_replacing(path: str, *chunks: bytes) -> None:
+def _write_replacing(path: str, *chunks) -> None:
     """Write to a temporary file beside path, then rename it over path, so a
     reader finds the old file or the whole new one, never part of one."""
     tmp = path + ".tmp"
@@ -228,8 +228,10 @@ def write_checkpoint(path, f: Field, t: float = 0.0) -> None:
     header = struct.pack(
         f"<{1 + grid.ndim}q3d", grid.ndim, *grid.shape, grid.half_width, params.b, t
     )
-    # a complex128 is its (re, im) float64 pair
-    _write_replacing(str(path), CHECKPOINT_MAGIC, header, f.values.astype("<c16").tobytes())
+    # a complex128 is its (re, im) float64 pair; written from the array's own
+    # buffer, copied only where a host's complex128 is not little-endian
+    payload = np.ascontiguousarray(f.values, dtype="<c16")
+    _write_replacing(str(path), CHECKPOINT_MAGIC, header, payload.data)
 
 
 def read_checkpoint(path):
@@ -238,23 +240,28 @@ def read_checkpoint(path):
     Raises InvariantError unless the file is exactly one checkpoint: a bad
     magic (an older version included), a short header, a size other than
     the header's grid implies and a header or payload no Field takes (a NaN
-    sample, say) are all rejected.
+    sample, say) are all rejected. The payload is read straight into the
+    field's array, after the size is checked.
     """
     path = str(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:16] != CHECKPOINT_MAGIC:
-        raise InvariantError(f"bad checkpoint magic in {path}")
-    ndim = struct.unpack_from("<q", data, 16)[0] if len(data) >= 24 else None
-    if ndim not in (1, 2, 3) or len(data) < 48 + 8 * ndim:
-        raise InvariantError(f"bad or truncated checkpoint header in {path}")
-    *ms, half_width, b, t = struct.unpack_from(f"<{ndim}q3d", data, 24)
-    if len(set(ms)) != 1 or ms[0] <= 0:
-        raise InvariantError("per-axis point counts must be positive and agree")
-    expected = 48 + 8 * ndim + 16 * ms[0] ** ndim
-    if len(data) != expected:
-        raise InvariantError(f"checkpoint {path} is {len(data)} bytes, expected {expected}")
-    values = np.frombuffer(data, dtype="<c16", offset=48 + 8 * ndim).astype(complex)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(48 + 8 * 3)  # the longest header, of N = 3
+        if head[:16] != CHECKPOINT_MAGIC:
+            raise InvariantError(f"bad checkpoint magic in {path}")
+        ndim = struct.unpack_from("<q", head, 16)[0] if len(head) >= 24 else None
+        if ndim not in (1, 2, 3) or len(head) < 48 + 8 * ndim:
+            raise InvariantError(f"bad or truncated checkpoint header in {path}")
+        *ms, half_width, b, t = struct.unpack_from(f"<{ndim}q3d", head, 24)
+        if len(set(ms)) != 1 or ms[0] <= 0:
+            raise InvariantError("per-axis point counts must be positive and agree")
+        expected = 48 + 8 * ndim + 16 * ms[0] ** ndim
+        if size != expected:
+            raise InvariantError(f"checkpoint {path} is {size} bytes, expected {expected}")
+        values = np.empty(ms[0] ** ndim, dtype="<c16")
+        fh.seek(48 + 8 * ndim)
+        if fh.readinto(values) != values.nbytes:
+            raise InvariantError(f"checkpoint {path} is shorter than {expected} bytes")
     try:
         grid = Grid(ndim, half_width, ms[0])
         return Field(ProblemParams(ndim, b), grid, values.reshape(grid.shape)), t

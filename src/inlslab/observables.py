@@ -9,12 +9,12 @@ handled natively.
 
 Support boxes: v and its first three derivatives vanish for rho = r/R >= 2,
 so outside the ball r < 2R phi_R, Phi_1 and Phi_2 are constant and every
-other virial weight is 0. ProfileOnGrid keeps the weights but phi_R only on
-the index box |x_j| < 2R of its radius, which holds the ball, and their
-sums run over the box alone; K1 and K2 add the constant Phi_1 or Phi_2
-times the density's full-grid sum less its box sum. z_R keeps its full-grid
-sum: phi_R feeds a second difference in time that magnifies any change in
-its rounding.
+other virial weight is 0. ProfileOnGrid keeps every weight only on the
+index box |x_j| < 2R of its radius, which holds the ball, and the sums run
+over the box alone; K1 and K2 add the constant Phi_1 or Phi_2 times the
+density's full-grid sum less its box sum. z_R keeps its full-grid sum,
+with phi_R written out over the grid in a scratch array: phi_R feeds a
+second difference in time that magnifies any change in its rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .cutoff import CutoffProfile
 from .spectral import SpectralPlan, abs_pow
 
 ALPHA_ENERGY_FLOOR = 1e-10
+PROFILE_BLOCK = 2**13  # points per evaluation of a cutoff profile on a support box
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class Sample:
 
 
 class GridWeights:
-    """Per-(grid, params) arrays reused across time samples: the cell
-    centres along one axis, |x| and |x|^-b, for b < min(2, N) (check_b)."""
+    """Per-(grid, params) data reused across time samples: the grid, its
+    cell volume and |x|^-b, for b < min(2, N) (check_b)."""
 
     @staticmethod
     def check_b(params) -> None:
@@ -85,46 +86,56 @@ class GridWeights:
 
     def __init__(self, grid, params):
         self.check_b(params)
+        self.grid = grid
         self.params = params
-        self.axis = grid.axis_coords()
-        self.r = grid.radii()
-        self.w_b = self.r ** (-params.b)
+        self.w_b = grid.radii() ** (-params.b)
         self.quad = grid.cell_volume
 
 
 class ProfileOnGrid:
     """The per-radius weights of the virial sums, from one profile
     evaluation on the support box |x_j| < 2R (box, one slice per axis):
-    phi_R flat over the whole grid, R^2 phi(2) outside the box, and every
-    other weight on the box alone. Outside the box those weights are 0,
-    except Phi_1 and Phi_2, which equal phi1_outer and phi2_outer. The
-    profile must be built for the (N, b) of gw."""
+    every weight on the box alone, with phi_R, Phi_1 and Phi_2 equal to
+    phi_R_outer, phi1_outer and phi2_outer outside it and the others 0.
+    The profile must be built for the (N, b) of gw."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
         N, b = gw.params.ndim, gw.params.b
         if profile.params != gw.params:
             p = profile.params
             raise InvariantError(f"cutoff profile built for N={p.ndim}, b={p.b}, not N={N}, b={b}")
-        inside = np.flatnonzero(np.abs(gw.axis) < 2.0 * profile.R)
+        x = gw.grid.axis_coords()
+        inside = np.flatnonzero(np.abs(x) < 2.0 * profile.R)
         lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
         self.box = (slice(lo, hi),) * N
-        r = gw.r[self.box]
-        phi_R, self.dphi_over_r, d2phi, self.bilap, self.phi1, self.phi2 = profile.virial_profile(r)
+        # |x| on the box, the bits of gw.grid.radii()[box]
+        r = np.sqrt(sum(xj**2 for xj in np.meshgrid(*([x[lo:hi]] * N), indexing="ij", sparse=True)))
         # every r outside the box is at least 2R, where phi_R, Phi_1 and Phi_2 are constant
         outer = [float(w(2.0 * profile.R)) for w in (profile.phi_R, profile.phi1, profile.phi2)]
-        self.phi1_outer, self.phi2_outer = outer[1:]
-        self.phi_R = np.full(gw.r.size, outer[0])
-        self.phi_R.reshape(gw.r.shape)[self.box] = phi_R  # a view of the flat array
-        # (d2/r^2 - dphi/r^3) = (d2phi - dphi/r)/r^2
-        self.aniso = (d2phi - self.dphi_over_r) / r**2
-        self.w_t4 = -d2phi - (N - 1.0 + b * N / (2.0 - b)) * self.dphi_over_r
+        self.phi_R_outer, self.phi1_outer, self.phi2_outer = outer
+        # The weights are pointwise in r, so they are evaluated in blocks of
+        # PROFILE_BLOCK points, into one array allocated first: the profile's
+        # temporaries stay small, and free the heap in one piece.
+        weights = np.empty((7, r.size))
+        flat_r = r.reshape(-1)
+        for at in range(0, r.size, PROFILE_BLOCK):
+            rb = flat_r[at : at + PROFILE_BLOCK]
+            phi_R, dphi_over_r, d2phi, bilap, phi1, phi2 = profile.virial_profile(rb)
+            # (d2/r^2 - dphi/r^3) = (d2phi - dphi/r)/r^2
+            aniso = (d2phi - dphi_over_r) / rb**2
+            w_t4 = -d2phi - (N - 1.0 + b * N / (2.0 - b)) * dphi_over_r
+            weights[:, at : at + PROFILE_BLOCK] = (phi_R, dphi_over_r, bilap, phi1, phi2, aniso, w_t4)
+        self.phi_R, self.dphi_over_r, self.bilap, self.phi1, self.phi2, self.aniso, self.w_t4 = (
+            w.reshape(r.shape) for w in weights
+        )
 
 
 class Densities:
     """The pointwise densities of one field that conservation, the sup norm
     and the virial pass share: |u|, |u|^2, |x|^-b |u|^p (as |x|^-b |u|^sigma
     |u|^2) and the full-grid sum of the last. Each is formed once, at its
-    first use, so its cost falls inside the first diagnostic that reads it."""
+    first use, so its cost falls inside the first diagnostic that reads it;
+    sample drops |u| once the sup norm is read from it."""
 
     def __init__(self, f: Field, gw: GridWeights):
         self._f = f
@@ -177,17 +188,39 @@ def virial_z_second(
     split into 2-alpha*E + K1 + K2 + K3, with K1 = -int Phi_1 |grad u|^2 +
     t2 and K2 = int Phi_2 |x|^-b |u|^p; alpha_check records the measured
     multiple of energy, the conservation report's energy of f, closing the
-    decomposition. Every sum but z_R's runs over the radius's support box."""
+    decomposition. Every sum but z_R's runs over the radius's support box.
+
+    The gradient is streamed, one component d_j u alive at a time: |grad
+    u|^2 is summed over the grid and x . grad u over the largest support
+    box, which holds every other box. Both have the bits of summing over
+    the whole gradient in axis order."""
     dens = dens or Densities(f, gw)
     quad = gw.quad
     N, b = f.params.ndim, f.params.b
     coef = (4.0 - 2.0 * b) / (N + 2.0 - b)
-
-    grads, xdot = plan.radial_derivative_arrays(f.values)
     u = f.values
-    grad2 = sum(np.abs(g) ** 2 for g in grads)
-    grad2_total = float(np.sum(grad2))
     absu2, wup = dens.absu2, dens.wup
+
+    # the support boxes are index ranges |x_j| < 2R, so nested: the widest holds the rest
+    lo, hi = max(((pg.box[0].start, pg.box[0].stop) for pg in pgs.values()),
+                 key=lambda edges: edges[1] - edges[0], default=(0, 0))
+    big = (slice(lo, hi),) * N
+    x_big = np.meshgrid(*([gw.grid.axis_coords()[lo:hi]] * N), indexing="ij", sparse=True)
+    grad2 = None
+    xdot = np.zeros(u[big].shape, dtype=complex)
+    for axis in range(N):
+        d = plan._axis_derivative(u, axis)
+        mag2 = np.abs(d)
+        np.square(mag2, out=mag2)
+        if grad2 is None:
+            grad2 = mag2  # the bits of 0 + |d_0 u|^2, which is never -0
+        else:
+            grad2 += mag2
+        del mag2
+        np.multiply(x_big[axis], d[big], out=d[big])  # x_j d_j u, in place
+        xdot += d[big]
+        del d  # freed before the next component is formed
+    grad2_total = float(np.sum(grad2))
 
     def total(weight, density, out):
         # the pairwise sum of the weighted integrand: z_R feeds a second
@@ -196,17 +229,26 @@ def virial_z_second(
         # change with the thread count
         return float(np.sum(np.multiply(weight, density, out=out)))
 
+    # Scratch for the sums: flat over the whole grid for z_R, and one
+    # box-sized array, the first values of box_out, for each radius; each
+    # is C-contiguous like a fresh array of its shape, so sums keep their bits
     flat = np.empty(absu2.size)
+    on_grid = flat.reshape(absu2.shape)  # a view of flat
+    box_out = np.empty(xdot.size)
     reports = {}
     for R, pg in pgs.items():
-        # the densities on the support box; the two of x . grad u are
-        # formed there alone
+        # the densities on the support box, and x . grad u there from its
+        # place in the widest box: an empty box (start = stop = 0) takes the
+        # empty slice at 0
         box = pg.box
-        grad2_b, wup_b, xdot_b, u_b = grad2[box], wup[box], xdot[box], u[box]
-        out = np.empty(pg.phi1.shape)
+        inner = tuple(slice(max(s.start - lo, 0), max(s.stop - lo, 0)) for s in box)
+        grad2_b, wup_b, xdot_b, u_b = grad2[box], wup[box], xdot[inner], u[box]
+        shape = pg.phi1.shape
+        out = box_out[: pg.phi1.size].reshape(shape)
 
         t1 = 4.0 * quad * total(pg.dphi_over_r, grad2_b, out)
-        t2 = 4.0 * quad * total(pg.aniso, np.abs(xdot_b) ** 2, out)
+        np.square(np.abs(xdot_b, out=out), out=out)  # |x . grad u|^2
+        t2 = 4.0 * quad * total(pg.aniso, out, out)
         t3 = -quad * total(pg.bilap, absu2[box], out)
         t4 = coef * quad * total(pg.w_t4, wup_b, out)
         z_second = t1 + t2 + t3 + t4
@@ -223,9 +265,14 @@ def virial_z_second(
         else:
             alpha = float("nan")
 
-        zR = quad * total(pg.phi_R, absu2.ravel(), flat)
-        im_xdot_conj_u = xdot_b.imag * u_b.real - xdot_b.real * u_b.imag
-        z_prime = 2.0 * quad * total(pg.dphi_over_r, im_xdot_conj_u, out)
+        # z_R's integrand over the whole grid: phi_R_outer |u|^2, then the box
+        np.multiply(pg.phi_R_outer, absu2, out=on_grid)
+        np.multiply(pg.phi_R, absu2[box], out=on_grid[box])
+        zR = quad * float(np.sum(flat))
+        # Im(x . grad u conj(u)), its second product in flat, free again
+        np.multiply(xdot_b.imag, u_b.real, out=out)
+        out -= np.multiply(xdot_b.real, u_b.imag, out=flat[: out.size].reshape(shape))
+        z_prime = 2.0 * quad * total(pg.dphi_over_r, out, out)
 
         reports[R] = VirialReport(
             zR=zR,
@@ -241,15 +288,17 @@ def virial_z_second(
 
 def sample(plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict, t: float, dt: float) -> Sample:
     """Conservation and every radius's virial report for f at time t, from
-    one set of the field's densities."""
+    one set of the field's densities; |u| is freed before the virial pass."""
     dens = Densities(f, gw)
     cons = conservation(plan, f, gw, dens)
+    sup_norm = float(np.max(dens.absu))
+    del dens.absu  # |u|^2 and |x|^-b |u|^p are formed; the virial pass reads no |u|
     return Sample(
         t=t,
         dt=dt,
         conservation=cons,
         grad_norm=float(np.sqrt(cons.kinetic)),
-        sup_norm=float(np.max(dens.absu)),
+        sup_norm=sup_norm,
         virials=virial_z_second(plan, f, gw, pgs, cons.energy, dens),
     )
 

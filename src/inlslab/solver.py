@@ -145,10 +145,12 @@ def _phase_step(u: np.ndarray, dt: float, potential: np.ndarray, sigma: float):
     np.max propagates NaN; run relies on this as its finiteness check.
     """
     rate = potential * abs_pow(np.abs(u), sigma)
+    top = float(np.max(rate))
+    rate *= dt  # the phase angle, in place: the bits of dt * rate
     # The phasor is a temporary on purpose: numpy then evaluates the product
     # with the operands in the order it used for u * (cos + 1j sin), which
     # depends on the array size, so the rounding stays that of this formula.
-    return u * unit_phasor(dt * rate), float(np.max(rate))
+    return u * unit_phasor(rate), top
 
 
 def run(
@@ -228,14 +230,15 @@ def run(
             break
         dt = min(dt, cfg.t_max - t)
 
-        unew = plan.free_propagate_array(u, pending + 0.5 * dt)
-        unew, rate = _phase_step(unew, dt, gw.w_b, sigma)
+        # the pre-step field is dropped once propagated: a failed step ends
+        # the run without a checkpoint, so nothing reads it again
+        u = plan.free_propagate_array(u, pending + 0.5 * dt)
+        u, rate = _phase_step(u, dt, gw.w_b, sigma)
         pending = 0.5 * dt
 
         if not np.isfinite(rate):
             stop = OUTCOME_INSTABILITY
             break
-        u, unew = unew, None  # a sample must not hold the pre-flush buffer
         t += dt
         step += 1
         step_dt = dt

@@ -15,8 +15,6 @@ N-dimensional transforms.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 from numpy import fft as _fft
 
@@ -57,11 +55,13 @@ def abs_pow(absu: np.ndarray, s: float) -> np.ndarray:
 class SpectralPlan:
     """Frequency vectors and multipliers for one grid.
 
-    The first-derivative wavenumbers are fixed at construction; |xi|^2
-    (k2) and its Nyquist-zeroed form (k2d) are formed at first use.
-    Free-propagator multipliers exp(-i |xi|^2 dt) are cached per dt, at
-    most MULTIPLIER_CACHE_SIZE of them, the least recently used evicted
-    first; calls mutate the cache, so a plan is not safe for concurrent use.
+    The first-derivative wavenumbers are fixed at construction. |xi|^2
+    (k2) is formed where a multiplier or the Laplacian is built, and its
+    Nyquist-zeroed form inside grad_norm; neither is kept, so the only
+    grid-sized arrays a plan holds are its multipliers. Free-propagator
+    multipliers exp(-i |xi|^2 dt) are cached per dt, at most
+    MULTIPLIER_CACHE_SIZE of them, the least recently used evicted first;
+    calls mutate the cache, so a plan is not safe for concurrent use.
     """
 
     def __init__(self, grid: Grid):
@@ -78,20 +78,22 @@ class SpectralPlan:
             xi[M // 2] = 0.0
         return [xi.reshape([M if j == axis else 1 for j in range(n)]) for axis in range(n)]
 
-    @cached_property
+    @property
     def k2(self) -> np.ndarray:
+        """|xi|^2, a fresh array at each use."""
         return sum(x**2 for x in self._wavenumbers(nyquist=True))
-
-    @cached_property
-    def k2d(self) -> np.ndarray:
-        """|xi|^2 with the Nyquist entries zeroed."""
-        return sum(xd**2 for xd in self._xi_d_axes)
 
     def _check(self, f: Field):
         if f.grid != self.grid:
             raise InvariantError("field grid does not match plan grid")
 
     # array-level kernels (used by the solver hot loop) -------------------
+
+    def _forward(self, values: np.ndarray) -> np.ndarray:
+        """fftn(values), bit for bit, with every axis pass written into one
+        output array: without out, each pass of a 2D or 3D transform makes a
+        new field-sized array while the previous pass's output is alive."""
+        return _fft.fftn(values, out=np.empty(values.shape, dtype=np.complex128))
 
     def _axis_derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """d_j u for j = axis, from one forward and one inverse transform
@@ -131,16 +133,18 @@ class SpectralPlan:
             # so the multiplier has the same bits as that formula
             m = unit_phasor(0.0 - dt * self.k2)
         self._multipliers[dt] = m  # (re)inserted last: the cache's order is that of use
-        fhat = _fft.fftn(values)
+        fhat = self._forward(values)
         fhat *= m
         return _fft.ifftn(fhat, out=fhat)
 
     def grad_norm(self, values: np.ndarray) -> float:
         """sqrt(sum_j ||d_j u||_2^2) with rectangle-rule quadrature,
         evaluated on the frequency side (Parseval)."""
-        fhat = _fft.fftn(values)
+        density = np.abs(self._forward(values))  # the transform is freed here
+        np.square(density, out=density)
+        density *= sum(xd**2 for xd in self._xi_d_axes)  # |xi|^2, Nyquist entries zeroed
         w = self.grid.cell_volume / self.grid.size
-        return float(np.sqrt(w * np.sum(self.k2d * np.abs(fhat) ** 2)))
+        return float(np.sqrt(w * np.sum(density)))
 
     def radial_derivative_arrays(self, values: np.ndarray):
         """(gradient components, x . grad u) for virial diagnostics."""

@@ -609,6 +609,25 @@ class TestSweepPlotAudit:
         assert lines[2].startswith("2,reached_t_max,")
         assert "R must be positive and finite" in capsys.readouterr().err
 
+    def test_sweep_with_a_missing_restart_checkpoint_gives_every_value_an_error_row(
+        self, tmp_path, capsys
+    ):
+        # the unreadable file is an OSError, not an InvariantError: once it
+        # escaped the loop and left a summary of just its header
+        missing = tmp_path / "gone.bin"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            MINIMAL.replace("kind = gaussian", f"kind = from_checkpoint\ncheckpoint = {missing}")
+        )
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "R", "--values", "2,4"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert lines == ["R,outcome,t_end,E0,alpha_mean", "2,error,nan,nan,nan", "4,error,nan,nan,nan"]
+        err = capsys.readouterr().err
+        assert "R=2" in err and "R=4" in err and "gone.bin" in err
+        assert sorted(os.listdir(out)) == ["summary.csv"]
+
     def test_sweep_value_that_is_not_a_number_is_a_clean_error(self, tmp_path, capsys):
         # once a ValueError traceback; now rejected before any run starts
         cfg_path = tmp_path / "run.cfg"

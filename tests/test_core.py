@@ -233,6 +233,38 @@ class TestCheckpoints:
         # the checkpoint is one file
         assert os.listdir(tmp_path) == ["state.bin"]
 
+    def test_small_checkpoint_bytes_are_pinned(self, tmp_path):
+        # magic, N = 1, M = 2, L = 1, b = 0.5, t = 0.125, then (re, im)
+        # little-endian float64 pairs, a negative zero among them
+        f = Field(ProblemParams(1, 0.5), Grid(1, 1.0, 2), np.array([1.5 - 2.0j, complex(-0.0, 0.25)]))
+        path = tmp_path / "small.bin"
+        write_checkpoint(path, f, t=0.125)
+        assert path.read_bytes().hex() == (
+            "494e4c534c414200434b505400000200"  # INLSLAB\0CKPT\0\0, version 2
+            "0100000000000000" "0200000000000000"
+            "000000000000f03f" "000000000000e03f" "000000000000c03f"
+            "000000000000f83f" "00000000000000c0" "0000000000000080" "000000000000d03f"
+        )
+        g, t = read_checkpoint(path)
+        assert g.values.tobytes() == f.values.tobytes() and t == 0.125
+
+    def test_write_and_read_make_no_copy_of_the_field(self, tmp_path, traced_peak):
+        # the write hands the field's own buffer to the file and the read
+        # fills the returned array straight from it; each once made two
+        # field-sized copies
+        grid = Grid(1, 20.0, 65536)
+        f = Field(ProblemParams(1, 0.5), grid, np.exp(-grid.axis_coords() ** 2) * (1.0 + 0.5j))
+        path = tmp_path / "big.bin"
+        with traced_peak() as write:
+            write_checkpoint(path, f, t=0.5)
+        with traced_peak() as read:
+            g, _t = read_checkpoint(path)
+        assert np.array_equal(g.values, f.values)
+        nbytes = f.values.nbytes
+        assert write.peak < 0.1 * nbytes
+        # the field and Field's finiteness mask, one byte a float (1.125)
+        assert read.peak < 1.25 * nbytes
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)

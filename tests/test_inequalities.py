@@ -1,7 +1,5 @@
 """Weighted interpolation and Gagliardo-Nirenberg ratio checks."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -267,23 +265,14 @@ class TestStreamedEstimate:
         assert est.ratios.tobytes() == ref.ratios.tobytes()
         assert est.argmax == ref.argmax
 
-    def test_3d_interp1_keeps_few_fields(self):
+    def test_3d_interp1_keeps_few_fields(self, traced_peak):
         # one gradient component alive at a time and each member freed
         # before the next is built: 4.5 fields (16 bytes a point) here, the
         # case's weight factors included. Holding all three components
         # peaked at 8.0, and keeping one component alive while the next is
         # formed at 5.1. A first untraced estimate does the lazy imports.
         estimate_constant(cli_case("interp1", 3, 0.5), 1, 0)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
+        with traced_peak() as traced:
             case = cli_case("interp1", 3, 0.5)
-            tracemalloc.reset_peak()
             estimate_constant(case, 50, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak - start < 5 * 16 * case.grid.size
+        assert traced.peak < 5 * 16 * case.grid.size

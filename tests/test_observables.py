@@ -3,7 +3,7 @@ closed forms, independent quadrature, and time finite differences."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from inlslab.core import Field, Grid, InitialData, InvariantError, ProblemParams, realize
@@ -17,7 +17,7 @@ from inlslab.observables import (
     sample,
     virial_z_second,
 )
-from inlslab.spectral import SpectralPlan
+from inlslab.spectral import SpectralPlan, abs_pow
 
 from test_spectral import GRIDS, PROPERTY, SEEDS
 
@@ -323,7 +323,7 @@ def direct_weights(prof, gw):
     point from the profile's own evaluators, shaped like the grid; Phi_1
     and Phi_2 by differencing, not from cutoff's closed forms."""
     N, b = gw.params.ndim, gw.params.b
-    r = gw.r
+    r = gw.grid.radii()
     dphi_over_r = prof.dphi_R_over_r(r)
     d2phi = prof.d2phi_R(r)
     phi1, phi2 = differenced(N, b, dphi_over_r, d2phi)
@@ -355,8 +355,11 @@ def test_profile_on_grid_arrays_match_profile(grid, gw):
         inside[pg.box] = True
         assert np.array_equal(inside, np.abs(x) < 2.0 * prof.R)
         assert np.count_nonzero(inside) == held
-        assert np.array_equal(pg.phi_R, prof.phi_R(gw.r.ravel()))
+        # phi_R on the box, and its constant at r >= 2R outside it
+        r = grid.radii()
         outside = outside_box(pg, grid.shape)
+        assert np.array_equal(pg.phi_R, prof.phi_R(r[pg.box]))
+        assert np.all(prof.phi_R(r[outside]) == pg.phi_R_outer)
         direct = direct_weights(prof, gw)
         for name in ("dphi_over_r", "bilap", "aniso", "w_t4"):
             w = direct[name]
@@ -376,13 +379,14 @@ def test_weights_match_the_closed_form_phi1_and_phi2(ndim, b, M, R):
     prof = build_cutoff(default_k(params), R, params)
     pg = ProfileOnGrid(prof, gw)
     direct = direct_weights(prof, gw)
-    outer_r = gw.r[outside_box(pg, grid.shape)]
+    r = grid.radii()
+    outer_r = r[outside_box(pg, grid.shape)]
     assert np.all(outer_r >= 2.0 * R)
     for name, outer, evaluator in (
         ("phi1", pg.phi1_outer, prof.phi1),
         ("phi2", pg.phi2_outer, prof.phi2),
     ):
-        assert np.array_equal(getattr(pg, name), evaluator(gw.r[pg.box])), name
+        assert np.array_equal(getattr(pg, name), evaluator(r[pg.box])), name
         assert np.all(evaluator(outer_r) == outer), name
         assert evaluator(np.array([2.0 * R, 3.0 * R, 1e3 * R])).tolist() == [outer] * 3, name
         on_grid = np.full(grid.shape, outer)
@@ -448,7 +452,7 @@ def reference_virials(plan, f, gw, profiles):
         scales["alpha_check"] = sum(scales.values()) * 2.0 / abs(energy) + abs(alpha)
         out[prof.R] = (
             observables.VirialReport(
-                zR=quad * float(np.sum(prof.phi_R(gw.r) * absu2)),
+                zR=quad * float(np.sum(prof.phi_R(gw.grid.radii()) * absu2)),
                 zR_prime=2.0 * quad * float(np.sum((w["dphi_over_r"] * xdot * conj_u).imag)),
                 zR_second_formula=z_second,
                 K1=K1,
@@ -503,3 +507,115 @@ def test_box_sums_match_full_grid_sums(grid, b, scale, seed):
     f = Field(params, grid, u)
     got = virial_z_second(plan, f, gw, {prof.R: ProfileOnGrid(prof, gw)}, conservation(plan, f, gw).energy)
     assert_matches_reference(got, reference_virials(plan, f, gw, [prof]))
+
+
+def held_sample(plan, f, gw, pgs, t, dt):
+    """The Sample of f formed the way the diagnostics pass did when it held
+    every gradient component at once, x . grad u and phi_R over the whole
+    grid, a cached |xi|^2 with the Nyquist entries zeroed and |u| to the
+    end; the streamed pass must give its bits."""
+    u, params, grid, quad = f.values, f.params, f.grid, gw.quad
+    N, b = params.ndim, params.b
+    absu = np.abs(u)
+    absu2 = absu**2
+    wup = gw.w_b * abs_pow(absu, params.sigma) * absu2
+    wup_total = float(np.sum(wup))
+    k2d = sum(xd**2 for xd in plan._xi_d_axes)
+    w = grid.cell_volume / grid.size
+    kinetic = float(np.sqrt(w * np.sum(k2d * np.abs(np.fft.fftn(u)) ** 2))) ** 2
+    pot = quad * wup_total
+    cons = observables.ConservationReport(
+        mass=quad * float(np.sum(absu2)),
+        energy=0.5 * kinetic - params.energy_coefficient * pot,
+        kinetic=kinetic,
+        potential_weighted=pot,
+    )
+
+    grads = plan.gradient_arrays(u)
+    xdot = sum(xj * gj for xj, gj in zip(grid.coords(), grads))
+    grad2 = sum(np.abs(g) ** 2 for g in grads)
+    grad2_total = float(np.sum(grad2))
+    coef = (4.0 - 2.0 * b) / (N + 2.0 - b)
+
+    def total(weight, density, out):
+        return float(np.sum(np.multiply(weight, density, out=out)))
+
+    flat = np.empty(absu2.size)
+    virials = {}
+    for R, pg in pgs.items():
+        box = pg.box
+        grad2_b, wup_b, xdot_b, u_b = grad2[box], wup[box], xdot[box], u[box]
+        out = np.empty(pg.phi1.shape)
+        t1 = 4.0 * quad * total(pg.dphi_over_r, grad2_b, out)
+        t2 = 4.0 * quad * total(pg.aniso, np.abs(xdot_b) ** 2, out)
+        t3 = -quad * total(pg.bilap, absu2[box], out)
+        t4 = coef * quad * total(pg.w_t4, wup_b, out)
+        z_second = t1 + t2 + t3 + t4
+        K1_out = pg.phi1_outer * (grad2_total - float(np.sum(grad2_b)))
+        K2_out = pg.phi2_outer * (wup_total - float(np.sum(wup_b)))
+        K1 = -quad * (total(pg.phi1, grad2_b, out) + K1_out) + t2
+        K2 = quad * (total(pg.phi2, wup_b, out) + K2_out)
+        if abs(cons.energy) > observables.ALPHA_ENERGY_FLOOR:
+            alpha = (z_second - K1 - K2 - t3) / cons.energy
+        else:
+            alpha = float("nan")
+        phi_R = np.full(absu2.size, pg.phi_R_outer)
+        phi_R.reshape(absu2.shape)[box] = pg.phi_R
+        im_xdot_conj_u = xdot_b.imag * u_b.real - xdot_b.real * u_b.imag
+        virials[R] = observables.VirialReport(
+            zR=quad * total(phi_R, absu2.ravel(), flat),
+            zR_prime=2.0 * quad * total(pg.dphi_over_r, im_xdot_conj_u, out),
+            zR_second_formula=z_second,
+            K1=K1,
+            K2=K2,
+            K3=t3,
+            alpha_check=alpha,
+        )
+    return observables.Sample(
+        t=t,
+        dt=dt,
+        conservation=cons,
+        grad_norm=float(np.sqrt(cons.kinetic)),
+        sup_norm=float(np.max(absu)),
+        virials=virials,
+    )
+
+
+def bits(sample_):
+    """Every float of a Sample as its 64 bits: signed zeros and NaNs count."""
+    values = [sample_.t, sample_.dt, sample_.grad_norm, sample_.sup_norm]
+    values += list(vars(sample_.conservation).values())
+    for R, v in sample_.virials.items():
+        values += [R, *vars(v).values()]
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+@PROPERTY
+@given(
+    grid=GRIDS,
+    b=st.sampled_from([0.5, 1.0, 1.5]),
+    scales=st.lists(st.floats(1e-6, 0.6), min_size=1, max_size=3, unique=True),
+    seed=SEEDS,
+    amplitude=st.sampled_from([1.0, 0.0, -0.0]),
+)
+# an empty box (2R under the first cell centre) beside boxes inside the
+# grid and one that covers it (2R above L), in 1D, 2D and 3D; a field of
+# zeros of both signs, whose every sum is a signed zero
+@example(grid=Grid(1, 8.0, 64), b=0.5, scales=[1e-6, 0.2, 0.6], seed=0, amplitude=1.0)
+@example(grid=Grid(2, 8.0, 32), b=1.0, scales=[1e-6, 0.3, 0.6], seed=1, amplitude=1.0)
+@example(grid=Grid(3, 8.0, 16), b=1.5, scales=[0.6, 1e-6], seed=2, amplitude=1.0)
+@example(grid=Grid(2, 8.0, 32), b=1.0, scales=[1e-6, 0.3, 0.6], seed=3, amplitude=-0.0)
+def test_streamed_sample_has_the_bits_of_the_held_one(grid, b, scales, seed, amplitude):
+    params = ProblemParams(grid.ndim, b * min(2, grid.ndim) / 2.0)
+    plan = SpectralPlan(grid)
+    gw = GridWeights(grid, params)
+    pgs = {
+        s * grid.half_width: ProfileOnGrid(build_cutoff(default_k(params), s * grid.half_width, params), gw)
+        for s in sorted(scales)
+    }
+    rng = np.random.default_rng(seed)
+    u = amplitude * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    # exact zeros of both signs, so that signed zeros reach the sums
+    u[np.broadcast_to(grid.coords()[0] > 0.5 * grid.half_width, grid.shape)] = complex(-0.0, 0.0)
+    f = Field(params, grid, u)
+    assert bits(sample(plan, f, gw, pgs, 0.5, 1e-3)) == bits(held_sample(plan, f, gw, pgs, 0.5, 1e-3))

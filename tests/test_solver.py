@@ -1,7 +1,5 @@
 """Splitting integrator: exact subflows, order of accuracy, detectors."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -456,33 +454,47 @@ class TestRun:
 
 
 class TestRunMemory:
-    def test_rate_limited_run_keeps_few_fields(self, monkeypatch):
-        # every step is rate-limited to a new size, so every step and every
-        # flush builds a multiplier; with the plan holding two of them and no
-        # dead copies of the field, the traced peak stays under 15 fields. A
-        # plan that kept eight multipliers peaked at about 20 here.
-        M = 16384
-        grid = Grid(1, 20.0, M)
-        profiles = [build_cutoff(default_k(PARAMS), R, PARAMS) for R in (0.5, 1.0, 2.0)]
+    @staticmethod
+    def traced_fields(traced_peak, monkeypatch, params, grid, radii):
+        """(report, multipliers built, traced peak in fields of 16 B a point)
+        of a run whose every step is rate-limited to a new size, so that
+        every step and every flush builds a multiplier."""
+        profiles = [build_cutoff(default_k(params), R, params) for R in radii]
         init = InitialData(kind="gaussian", amplitude=3.0, width=1.0)
         cfg = SolverConfig(dt0=1e-3, c_cfl=1e-3, t_max=5e-5)
         builds = []
         build = spectral.unit_phasor
         monkeypatch.setattr(spectral, "unit_phasor", lambda theta: builds.append(1) or build(theta))
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            rep = run(init, PARAMS, grid, cfg, profiles)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        with traced_peak() as traced:
+            rep = run(init, params, grid, cfg, profiles)
+        return rep, len(builds), traced.peak / (16 * grid.size)
+
+    def test_rate_limited_run_keeps_few_fields(self, traced_peak, monkeypatch):
+        # Between steps a run holds the field, |x|^-b, the plan's two
+        # multipliers and each radius's weights on its box; a step adds the
+        # propagated field, the rate and the phasor, and a sample its
+        # densities, one derivative component and scratch. The peak is 8.3
+        # fields here. With the weights' arrays, phi_R over the whole grid,
+        # |xi|^2 kept by the plan, every gradient component alive at once
+        # and the pre-step field kept through the step, it was 13.6; a plan
+        # that kept eight multipliers peaked at about 20.
+        rep, builds, fields = self.traced_fields(
+            traced_peak, monkeypatch, PARAMS, Grid(1, 20.0, 16384), (0.5, 1.0, 2.0)
+        )
         assert rep.outcome == OUTCOME_REACHED_T_MAX
-        assert rep.steps == 40 and len(builds) == 44  # 40 steps and 4 flushes
-        assert peak - before < 15 * 16 * M
+        assert rep.steps == 40 and builds == 44  # 40 steps and 4 flushes
+        assert fields < 10
+
+    def test_rate_limited_2d_run_keeps_few_fields(self, traced_peak, monkeypatch):
+        # the 2D weights fill more of the grid (R = 2 on L = 8 is a quarter
+        # of it); the peak is 8.2 fields, against 13.7 with the weights over
+        # the whole grid and the full gradient
+        rep, builds, fields = self.traced_fields(
+            traced_peak, monkeypatch, ProblemParams(2, 1.0), Grid(2, 8.0, 128), (0.5, 1.0, 2.0)
+        )
+        assert rep.outcome == OUTCOME_REACHED_T_MAX
+        assert rep.steps == 2 and builds == 3  # 2 steps and 1 flush
+        assert fields < 10
 
 
 class TestRunReport:

@@ -5,7 +5,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -163,7 +162,7 @@ class TestGradientKernel:
         assert np.array_equal(u, before)
 
     @pytest.mark.parametrize("M", [64, 2048, 65536])
-    def test_derivative_multiplies_in_place(self, M):
+    def test_derivative_multiplies_in_place(self, M, traced_peak):
         # the bits of multiplying by the temporary 1j * xi, a field-sized
         # array in 1D; without it the peak above the input is the
         # transformed field, which the result reuses, and the FFT's scratch
@@ -174,28 +173,26 @@ class TestGradientKernel:
         fhat = np.fft.fftn(u, axes=(0,))
         fhat *= 1j * plan._xi_d_axes[0]
         reference = np.fft.ifftn(fhat, axes=(0,))
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
+        with traced_peak() as traced:
             (g,) = plan.gradient_arrays(u)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
         assert np.array_equal(g.view(np.uint64), reference.view(np.uint64))
         if M == 65536:  # a small field's peak is Python objects, not arrays
-            assert peak - before <= 1.5 * u.nbytes
+            assert traced.peak <= 1.5 * u.nbytes
 
     def test_gradient_forms_no_squared_wavenumbers(self):
-        # gradient-only plans (the interpolation inequalities) never hold
-        # |xi|^2; it is formed at first use, with the bits of the formula
+        # |xi|^2 is formed where it is used, with the bits of the formula:
+        # after a gradient, a propagation and a gradient norm the plan holds
+        # its multiplier and per-axis vectors, no grid-sized |xi|^2
         grid = Grid(3, 8.0, 16)
         plan = SpectralPlan(grid)
-        plan.gradient_arrays(np.ones(grid.shape, dtype=complex))
-        assert "k2" not in vars(plan) and "k2d" not in vars(plan)
+        u = np.ones(grid.shape, dtype=complex)
+        plan.gradient_arrays(u)
+        plan.free_propagate_array(u, 0.1)
+        plan.grad_norm(u)
+        held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        held += [v for v in plan._xi_d_axes]
+        assert all(v.size == 16 for v in held)
+        assert list(plan._multipliers) == [0.1]
         xi = 2.0 * np.pi * np.fft.fftfreq(16, d=grid.h)
         k2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
         assert np.array_equal(plan.k2, k2)
