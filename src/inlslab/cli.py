@@ -264,7 +264,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> int:
             try:
                 run_cfg = replace(SWEEP_AXES[axis](cfg, value), out_dir=sub)
                 simulate(run_cfg, run_id=f"sweep_{axis}_{value:g}")
-            except (InvariantError, OSError) as exc:  # as main reports them
+            except (InvariantError, OSError, MemoryError) as exc:  # as main reports them
                 print(f"error: {axis}={value:g}: {exc}", file=sys.stderr)
                 fh.write(f"{_fmt(float(value))},error,nan,nan,nan\n")
                 failed = True
@@ -398,7 +398,7 @@ def virial_audit(run_dir: str) -> dict:
             pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in csv_rows}
         elif (f.grid, f.params) != first:
             raise InvariantError(f"{path} is not on the grid and b of {ckpts[0]}")
-        s = obs.sample(plan, f, gw, pgs, t, float("nan"))
+        s = obs.sample(plan, f.values, gw, pgs, t, float("nan"))
         for R, rows in csv_rows.items():
             match = np.where(np.abs(rows[:, COLUMN["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
             if match.size == 0:
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (InvariantError, OSError) as exc:
+    except (InvariantError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

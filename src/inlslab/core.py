@@ -4,6 +4,10 @@ The spatial domain is the periodic box [-L, L)^N sampled cell-centered so
 that no grid point sits at the origin (the potential |x|^{-b} is evaluated
 pointwise). Every rejected value, a non-finite field and a corrupt
 checkpoint included, raises InvariantError.
+
+Field is the validated type where a field enters or leaves: realize,
+read_checkpoint, write_checkpoint and the Field-level SpectralPlan
+operations. The solver's loop, the diagnostics and lhs_rhs pass the array.
 """
 
 from __future__ import annotations
@@ -95,15 +99,16 @@ class Grid:
         j = np.arange(self.points_per_axis, dtype=float)
         return -self.half_width + (j + 0.5) * self.h
 
-    def coords(self) -> list:
-        """Per-axis coordinate arrays broadcast to the full grid shape."""
-        x = self.axis_coords()
+    def coords(self, lo: int = 0, hi: int | None = None) -> list:
+        """Per-axis coordinates on the index box [lo, hi)^N, the whole grid
+        by default, broadcast to its shape."""
+        x = self.axis_coords()[lo:hi]
         return list(np.meshgrid(*([x] * self.ndim), indexing="ij", sparse=True))
 
-    def radii(self) -> np.ndarray:
-        """|x| on the full grid; strictly positive on the cell centers."""
-        r2 = sum(xj**2 for xj in self.coords())
-        return np.sqrt(r2)
+    def radii(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """|x| on the index box [lo, hi)^N, the whole grid by default;
+        strictly positive on the cell centers."""
+        return np.sqrt(sum(xj**2 for xj in self.coords(lo, hi)))
 
 
 @dataclass(frozen=True)

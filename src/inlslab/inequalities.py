@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft as _fft
 
-from .core import Field, Grid, InvariantError, ProblemParams, gaussian
+from .core import Grid, InvariantError, ProblemParams, gaussian
 from .cutoff import CutoffProfile, weight_exponent
 from .spectral import SpectralPlan
 
@@ -94,11 +94,10 @@ def _quad(grid: Grid, arr) -> float:
     return grid.cell_volume * float(np.sum(arr))
 
 
-def lhs_rhs(case: IneqCase, f: Field) -> tuple:
-    """Both sides of the chosen inequality with implicit constant 1."""
+def lhs_rhs(case: IneqCase, u: np.ndarray) -> tuple:
+    """Both sides of the chosen inequality for u, with implicit constant 1."""
     grid, params = case.grid, case.params
     N, b = params.ndim, params.b
-    u = f.values
     # the gradient density is reduced and dropped before |u| is formed, so
     # no derivative component and no |u| temporary are alive together
     grad2 = case.plan.gradient_density_array(u)
@@ -181,8 +180,7 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     k0 = np.pi / L
 
     def ratio_of(u):
-        f = Field(case.params, case.grid, u)
-        lhs, rhs = lhs_rhs(case, f)
+        lhs, rhs = lhs_rhs(case, u)
         return lhs / rhs if rhs > 0 else 0.0
 
     ratios = []

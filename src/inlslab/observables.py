@@ -13,8 +13,10 @@ other virial weight is 0. ProfileOnGrid keeps every weight only on the
 index box |x_j| < 2R of its radius, which holds the ball, and the sums run
 over the box alone; K1 and K2 add the constant Phi_1 or Phi_2 times the
 density's full-grid sum less its box sum. z_R keeps its full-grid sum,
-with phi_R written out over the grid in a scratch array: phi_R feeds a
+of phi_R_outer |u|^2 with phi_R |u|^2 written over the box: z_R feeds a
 second difference in time that magnifies any change in its rounding.
+Every diagnostic takes the field's array u, with the grid and the
+problem parameters from its GridWeights alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Field, InvariantError
+from .core import InvariantError
 from .cutoff import CutoffProfile
 from .spectral import SpectralPlan, abs_pow
 
@@ -104,12 +106,10 @@ class ProfileOnGrid:
         if profile.params != gw.params:
             p = profile.params
             raise InvariantError(f"cutoff profile built for N={p.ndim}, b={p.b}, not N={N}, b={b}")
-        x = gw.grid.axis_coords()
-        inside = np.flatnonzero(np.abs(x) < 2.0 * profile.R)
+        inside = np.flatnonzero(np.abs(gw.grid.axis_coords()) < 2.0 * profile.R)
         lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
         self.box = (slice(lo, hi),) * N
-        # |x| on the box, the bits of gw.grid.radii()[box]
-        r = np.sqrt(sum(xj**2 for xj in np.meshgrid(*([x[lo:hi]] * N), indexing="ij", sparse=True)))
+        r = gw.grid.radii(lo, hi)
         # every r outside the box is at least 2R, where phi_R, Phi_1 and Phi_2 are constant
         outer = [float(w(2.0 * profile.R)) for w in (profile.phi_R, profile.phi1, profile.phi2)]
         self.phi_R_outer, self.phi1_outer, self.phi2_outer = outer
@@ -131,19 +131,19 @@ class ProfileOnGrid:
 
 
 class Densities:
-    """The pointwise densities of one field that conservation, the sup norm
-    and the virial pass share: |u|, |u|^2, |x|^-b |u|^p (as |x|^-b |u|^sigma
-    |u|^2) and the full-grid sum of the last. Each is formed once, at its
-    first use, so its cost falls inside the first diagnostic that reads it;
-    sample drops |u| once the sup norm is read from it."""
+    """The pointwise densities of one field u that conservation, the sup
+    norm and the virial pass share: |u|, |u|^2, |x|^-b |u|^p (as |x|^-b
+    |u|^sigma |u|^2) and the full-grid sum of the last. Each is formed
+    once, at its first use, so its cost falls inside the first diagnostic
+    that reads it; sample drops |u| once the sup norm is read from it."""
 
-    def __init__(self, f: Field, gw: GridWeights):
-        self._f = f
+    def __init__(self, u: np.ndarray, gw: GridWeights):
+        self._u = u
         self._gw = gw
 
     @cached_property
     def absu(self) -> np.ndarray:
-        return np.abs(self._f.values)
+        return np.abs(self._u)
 
     @cached_property
     def absu2(self) -> np.ndarray:
@@ -151,7 +151,7 @@ class Densities:
 
     @cached_property
     def wup(self) -> np.ndarray:
-        return self._gw.w_b * abs_pow(self.absu, self._f.params.sigma) * self.absu2
+        return self._gw.w_b * abs_pow(self.absu, self._gw.params.sigma) * self.absu2
 
     @cached_property
     def wup_total(self) -> float:
@@ -164,48 +164,52 @@ def mass_drift(mass, mass0: float):
 
 
 def conservation(
-    plan: SpectralPlan, f: Field, gw: GridWeights, dens: Densities | None = None
+    plan: SpectralPlan, u: np.ndarray, gw: GridWeights, dens: Densities | None = None
 ) -> ConservationReport:
-    dens = dens or Densities(f, gw)
+    dens = dens or Densities(u, gw)
     mass = gw.quad * float(np.sum(dens.absu2))
-    kinetic = plan.grad_norm(f.values) ** 2
+    kinetic = plan.grad_norm(u) ** 2
     pot = gw.quad * dens.wup_total
-    energy = 0.5 * kinetic - f.params.energy_coefficient * pot
+    energy = 0.5 * kinetic - gw.params.energy_coefficient * pot
     return ConservationReport(mass=mass, energy=energy, kinetic=kinetic, potential_weighted=pot)
 
 
 def virial_z_second(
     plan: SpectralPlan,
-    f: Field,
+    u: np.ndarray,
     gw: GridWeights,
     pgs: dict,
     energy: float,
     dens: Densities | None = None,
 ) -> dict:
     """R -> VirialReport for every radius of pgs (R -> ProfileOnGrid), from
-    one gradient pass: z_R, z_R' = 2 Im int (partial_r phi_R / r)
+    one gradient pass over u: z_R, z_R' = 2 Im int (partial_r phi_R / r)
     (x . grad u) conj(u), and the second derivative (four-term radial form)
     split into 2-alpha*E + K1 + K2 + K3, with K1 = -int Phi_1 |grad u|^2 +
     t2 and K2 = int Phi_2 |x|^-b |u|^p; alpha_check records the measured
-    multiple of energy, the conservation report's energy of f, closing the
+    multiple of energy, the conservation report's energy of u, closing the
     decomposition. Every sum but z_R's runs over the radius's support box.
 
     The gradient is streamed, one component d_j u alive at a time: |grad
     u|^2 is summed over the grid and x . grad u over the largest support
     box, which holds every other box. Both have the bits of summing over
-    the whole gradient in axis order."""
-    dens = dens or Densities(f, gw)
+    the whole gradient in axis order.
+
+    Each sum is the pairwise np.sum of one fresh weighted integrand. z_R
+    feeds a second difference in time, which multiplies its rounding by
+    4/h^2, so not np.einsum (sequential), and not np.dot, whose BLAS
+    rounding can change with the thread count."""
+    dens = dens or Densities(u, gw)
     quad = gw.quad
-    N, b = f.params.ndim, f.params.b
+    N, b = gw.params.ndim, gw.params.b
     coef = (4.0 - 2.0 * b) / (N + 2.0 - b)
-    u = f.values
     absu2, wup = dens.absu2, dens.wup
 
     # the support boxes are index ranges |x_j| < 2R, so nested: the widest holds the rest
     lo, hi = max(((pg.box[0].start, pg.box[0].stop) for pg in pgs.values()),
                  key=lambda edges: edges[1] - edges[0], default=(0, 0))
     big = (slice(lo, hi),) * N
-    x_big = np.meshgrid(*([gw.grid.axis_coords()[lo:hi]] * N), indexing="ij", sparse=True)
+    x_big = gw.grid.coords(lo, hi)
     grad2 = None
     xdot = np.zeros(u[big].shape, dtype=complex)
     for axis in range(N):
@@ -222,19 +226,6 @@ def virial_z_second(
         del d  # freed before the next component is formed
     grad2_total = float(np.sum(grad2))
 
-    def total(weight, density, out):
-        # the pairwise sum of the weighted integrand: z_R feeds a second
-        # difference in time, which multiplies its rounding by 4/h^2, so
-        # not np.einsum (sequential); not np.dot, whose BLAS rounding can
-        # change with the thread count
-        return float(np.sum(np.multiply(weight, density, out=out)))
-
-    # Scratch for the sums: flat over the whole grid for z_R, and one
-    # box-sized array, the first values of box_out, for each radius; each
-    # is C-contiguous like a fresh array of its shape, so sums keep their bits
-    flat = np.empty(absu2.size)
-    on_grid = flat.reshape(absu2.shape)  # a view of flat
-    box_out = np.empty(xdot.size)
     reports = {}
     for R, pg in pgs.items():
         # the densities on the support box, and x . grad u there from its
@@ -243,21 +234,18 @@ def virial_z_second(
         box = pg.box
         inner = tuple(slice(max(s.start - lo, 0), max(s.stop - lo, 0)) for s in box)
         grad2_b, wup_b, xdot_b, u_b = grad2[box], wup[box], xdot[inner], u[box]
-        shape = pg.phi1.shape
-        out = box_out[: pg.phi1.size].reshape(shape)
 
-        t1 = 4.0 * quad * total(pg.dphi_over_r, grad2_b, out)
-        np.square(np.abs(xdot_b, out=out), out=out)  # |x . grad u|^2
-        t2 = 4.0 * quad * total(pg.aniso, out, out)
-        t3 = -quad * total(pg.bilap, absu2[box], out)
-        t4 = coef * quad * total(pg.w_t4, wup_b, out)
+        t1 = 4.0 * quad * float(np.sum(pg.dphi_over_r * grad2_b))
+        t2 = 4.0 * quad * float(np.sum(pg.aniso * np.abs(xdot_b) ** 2))
+        t3 = -quad * float(np.sum(pg.bilap * absu2[box]))
+        t4 = coef * quad * float(np.sum(pg.w_t4 * wup_b))
         z_second = t1 + t2 + t3 + t4
 
         # the constant weight outside the box times the density's sum there
         K1_out = pg.phi1_outer * (grad2_total - float(np.sum(grad2_b)))
         K2_out = pg.phi2_outer * (dens.wup_total - float(np.sum(wup_b)))
-        K1 = -quad * (total(pg.phi1, grad2_b, out) + K1_out) + t2
-        K2 = quad * (total(pg.phi2, wup_b, out) + K2_out)
+        K1 = -quad * (float(np.sum(pg.phi1 * grad2_b)) + K1_out) + t2
+        K2 = quad * (float(np.sum(pg.phi2 * wup_b)) + K2_out)
         K3 = t3
 
         if abs(energy) > ALPHA_ENERGY_FLOOR:
@@ -266,13 +254,12 @@ def virial_z_second(
             alpha = float("nan")
 
         # z_R's integrand over the whole grid: phi_R_outer |u|^2, then the box
-        np.multiply(pg.phi_R_outer, absu2, out=on_grid)
-        np.multiply(pg.phi_R, absu2[box], out=on_grid[box])
-        zR = quad * float(np.sum(flat))
-        # Im(x . grad u conj(u)), its second product in flat, free again
-        np.multiply(xdot_b.imag, u_b.real, out=out)
-        out -= np.multiply(xdot_b.real, u_b.imag, out=flat[: out.size].reshape(shape))
-        z_prime = 2.0 * quad * total(pg.dphi_over_r, out, out)
+        z = pg.phi_R_outer * absu2
+        z[box] = pg.phi_R * absu2[box]
+        zR = quad * float(np.sum(z))
+        del z  # freed before the integrand of z_R' is formed
+        im_xdot_conj_u = xdot_b.imag * u_b.real - xdot_b.real * u_b.imag
+        z_prime = 2.0 * quad * float(np.sum(pg.dphi_over_r * im_xdot_conj_u))
 
         reports[R] = VirialReport(
             zR=zR,
@@ -286,11 +273,13 @@ def virial_z_second(
     return reports
 
 
-def sample(plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict, t: float, dt: float) -> Sample:
-    """Conservation and every radius's virial report for f at time t, from
-    one set of the field's densities; |u| is freed before the virial pass."""
-    dens = Densities(f, gw)
-    cons = conservation(plan, f, gw, dens)
+def sample(
+    plan: SpectralPlan, u: np.ndarray, gw: GridWeights, pgs: dict, t: float, dt: float
+) -> Sample:
+    """Conservation and every radius's virial report for u at time t, from
+    one set of its densities; |u| is freed before the virial pass."""
+    dens = Densities(u, gw)
+    cons = conservation(plan, u, gw, dens)
     sup_norm = float(np.max(dens.absu))
     del dens.absu  # |u|^2 and |x|^-b |u|^p are formed; the virial pass reads no |u|
     return Sample(
@@ -299,7 +288,7 @@ def sample(plan: SpectralPlan, f: Field, gw: GridWeights, pgs: dict, t: float, d
         conservation=cons,
         grad_norm=float(np.sqrt(cons.kinetic)),
         sup_norm=sup_norm,
-        virials=virial_z_second(plan, f, gw, pgs, cons.energy, dens),
+        virials=virial_z_second(plan, u, gw, pgs, cons.energy, dens),
     )
 
 

@@ -169,7 +169,7 @@ def run(
     pgs = {p.R: obs.ProfileOnGrid(p, gw) for p in profiles}
     sigma = params.sigma
 
-    series = [obs.sample(plan, Field(params, grid, u), gw, pgs, 0.0, cfg.dt0)]
+    series = [obs.sample(plan, u, gw, pgs, 0.0, cfg.dt0)]
     mass0 = series[0].conservation.mass
     checkpoints = []
 
@@ -187,7 +187,7 @@ def run(
         nonlocal u, pending
         u = plan.free_propagate_array(u, pending)
         pending = 0.0
-        s = obs.sample(plan, Field(params, grid, u), gw, pgs, t, dt)
+        s = obs.sample(plan, u, gw, pgs, t, dt)
         series.append(s)
         if obs.mass_drift(s.conservation.mass, mass0) > MASS_DRIFT_LIMIT:
             return OUTCOME_INSTABILITY

@@ -447,6 +447,16 @@ class TestSimulate:
         assert err.startswith("error: ") and str(tmp_path) in err
         assert not out.exists()
 
+    def test_grid_too_large_to_allocate_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate the grid")
+
+        monkeypatch.setattr(cli, "run", too_large)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", self.write_cfg(tmp_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate the grid\n"
+        assert not out.exists()
+
     def test_out_dir_that_cannot_be_made_is_reported_after_the_run(self, tmp_path, capsys, monkeypatch):
         # out_dir is created only once run has accepted the inputs and returned
         runs = []
@@ -581,6 +591,22 @@ class TestSweepPlotAudit:
             assert lines[2].startswith("0.5,reached_t_max,")
             assert f"b={bad}" in capsys.readouterr().err
             assert not os.path.exists(os.path.join(out, f"b_{bad}"))
+
+    def test_sweep_value_too_large_to_allocate_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        # as main reports it: the other values still run
+        real = cli.run
+
+        def allocating(init, params, *args, **kwargs):
+            if params.b == 0.75:
+                raise MemoryError("Unable to allocate the grid")
+            return real(init, params, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", allocating)
+        code, out, lines = self.sweep_b(tmp_path, "0.75,0.5")
+        assert code == 1
+        assert lines[1] == "0.75,error,nan,nan,nan"
+        assert lines[2].startswith("0.5,reached_t_max,")
+        assert "error: b=0.75: Unable to allocate the grid" in capsys.readouterr().err
 
     def test_sweep_over_a_non_integer_k_is_an_error_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -940,6 +966,16 @@ class TestToolSubcommands:
     def test_cutoff_verify_rejects_bad_k(self, capsys):
         code = main(["cutoff-verify", "--N", "1", "--b", "0.5", "--k", "4"])
         assert code == 1
+
+    def test_cutoff_verify_out_of_memory_is_a_clean_error(self, capsys, monkeypatch):
+        # a --samples too large to allocate; nothing is allocated for real
+        def too_large(profile, samples):
+            raise MemoryError(f"Unable to allocate for {samples} samples")
+
+        monkeypatch.setattr(cli, "verify_phicond", too_large)
+        code = main(["cutoff-verify", "--N", "1", "--b", "0.5", "--samples", "100000000000"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate for 100000000000 samples\n"
 
     def test_interp_check(self, capsys):
         code = main(

@@ -62,6 +62,27 @@ class TestGrid:
         assert np.min(np.abs(x)) == pytest.approx(g.h / 2)
         assert np.min(Grid(2, 5.0, 64).radii()) > 0
 
+    @PROPERTY
+    @given(
+        ndim=st.integers(1, 3),
+        box=st.integers(1, 12).flatmap(
+            lambda half: st.tuples(st.just(2 * half), st.integers(0, 2 * half), st.integers(0, 2 * half))
+        ),
+    )
+    @example(ndim=2, box=(8, 0, 0))  # the empty box
+    @example(ndim=3, box=(8, 0, 8))  # the whole grid
+    def test_box_coords_are_the_full_grid_sliced(self, ndim, box):
+        M, lo, hi = box[0], *sorted(box[1:])
+        grid = Grid(ndim, 3.0, M)
+        on_box = (slice(lo, hi),) * ndim
+        full = np.broadcast_arrays(*grid.coords())
+        for xj_box, xj in zip(np.broadcast_arrays(*grid.coords(lo, hi)), full):
+            assert xj_box.shape == xj[on_box].shape
+            assert xj_box.tobytes() == xj[on_box].tobytes()
+        r = grid.radii(lo, hi)
+        assert r.shape == (hi - lo,) * ndim
+        assert r.tobytes() == grid.radii()[on_box].tobytes()
+
     def test_coords_cover_box_uniformly(self):
         g = Grid(1, 3.0, 10)
         x = g.axis_coords()
@@ -122,7 +143,7 @@ class TestInitialData:
         init = InitialData(kind="gaussian", amplitude=0.7, width=0.9)
         f = realize(init, params, grid)
         exact = np.sqrt(quad(lambda x: 0.49 * np.exp(-x**2 / 0.81), -np.inf, np.inf)[0])
-        mass = conservation(SpectralPlan(grid), f, GridWeights(grid, params)).mass
+        mass = conservation(SpectralPlan(grid), f.values, GridWeights(grid, params)).mass
         assert np.sqrt(mass) == pytest.approx(exact, rel=1e-12)
 
     def test_shifted_gaussian_peaks_at_center(self):
@@ -410,6 +431,5 @@ def test_sup_norm_matches_numpy():
     params = ProblemParams(1, 0.5)
     grid = Grid(1, 1.0, 8)
     vals = np.arange(8) * (0.3 + 0.4j)
-    f = Field(params, grid, vals)
-    s = sample(SpectralPlan(grid), f, GridWeights(grid, params), {}, 0.0, 1e-3)
+    s = sample(SpectralPlan(grid), vals, GridWeights(grid, params), {}, 0.0, 1e-3)
     assert s.sup_norm == pytest.approx(np.max(np.abs(vals)))

@@ -33,8 +33,8 @@ def virial(f, prof, pg=None, plan=None):
     gw = GridWeights(f.grid, f.params)
     pg = pg or ProfileOnGrid(prof, gw)
     plan = plan or SpectralPlan(f.grid)
-    energy = conservation(plan, f, gw).energy
-    return virial_z_second(plan, f, gw, {prof.R: pg}, energy)[prof.R]
+    energy = conservation(plan, f.values, gw).energy
+    return virial_z_second(plan, f.values, gw, {prof.R: pg}, energy)[prof.R]
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +54,13 @@ def gw(grid):
 
 class TestConservation:
     def test_zero_field(self, grid, plan, gw):
-        rep = conservation(plan, make(grid, np.zeros(grid.shape)), gw)
+        rep = conservation(plan, make(grid, np.zeros(grid.shape)).values, gw)
         assert rep.mass == 0.0 and rep.energy == 0.0
 
     def test_energy_identity(self, grid, plan, gw):
         rng = np.random.default_rng(11)
         u = rng.standard_normal(grid.shape) * np.exp(-grid.radii() ** 2)
-        rep = conservation(plan, make(grid, u), gw)
+        rep = conservation(plan, make(grid, u).values, gw)
         assert rep.energy == pytest.approx(
             0.5 * rep.kinetic - PARAMS.energy_coefficient * rep.potential_weighted, rel=1e-14
         )
@@ -68,7 +68,7 @@ class TestConservation:
     def test_gaussian_mass_and_kinetic_closed_form(self, grid, plan, gw):
         A = 0.7
         x = grid.axis_coords()
-        rep = conservation(plan, make(grid, A * np.exp(-(x**2) / 2.0)), gw)
+        rep = conservation(plan, make(grid, A * np.exp(-(x**2) / 2.0)).values, gw)
         assert rep.mass == pytest.approx(A**2 * np.sqrt(np.pi), rel=1e-12)
         assert rep.kinetic == pytest.approx(A**2 * np.sqrt(np.pi) / 2.0, rel=1e-12)
 
@@ -84,7 +84,7 @@ class TestConservation:
             g = Grid(1, 20.0, M)
             x = g.axis_coords()
             rep = conservation(
-                SpectralPlan(g), make(g, np.exp(-(x**2) / 2.0)), GridWeights(g, PARAMS)
+                SpectralPlan(g), make(g, np.exp(-(x**2) / 2.0)).values, GridWeights(g, PARAMS)
             )
             errs.append(abs(rep.potential_weighted - oracle) / oracle)
         assert errs[0] < 0.1
@@ -119,7 +119,7 @@ class TestVirialZ:
             spec[np.abs(np.fft.fftfreq(grid.size) * grid.size) > 64] = 0.0
             u = np.fft.ifftn(spec)
             f = make(grid, u)
-            mass = conservation(plan, f, gw).mass
+            mass = conservation(plan, f.values, gw).mass
             assert virial(f, prof, pg, plan).zR <= cap * mass * (1.0 + 1e-12)
 
 
@@ -189,7 +189,7 @@ class TestVirialZSecond:
         x = grid.axis_coords()
         f = make(grid, np.exp(-(x**2) / 8.0))
         rep = virial(f, prof, pg, plan)
-        mass = conservation(plan, f, gw).mass
+        mass = conservation(plan, f.values, gw).mass
         assert abs(rep.K3) <= bilaplacian_sup(prof, 10**5) * mass * (1.0 + 1e-9)
 
     def test_closure_coefficient_same_for_distinct_fields(self, grid, plan, gw):
@@ -235,12 +235,12 @@ def test_one_pass_matches_single_radius_calls(ndim, b, M):
     gw = GridWeights(grid, params)
     pgs = {R: ProfileOnGrid(build_cutoff(default_k(params), R, params), gw) for R in (1.0, 2.0, 4.0)}
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
-    f = Field(params, grid, 0.7 * np.exp(-r2) * np.exp(0.3j * grid.coords()[0]))
-    energy = conservation(plan, f, gw).energy
-    fused = virial_z_second(plan, f, gw, pgs, energy)
+    u = 0.7 * np.exp(-r2) * np.exp(0.3j * grid.coords()[0])
+    energy = conservation(plan, u, gw).energy
+    fused = virial_z_second(plan, u, gw, pgs, energy)
     assert list(fused) == [1.0, 2.0, 4.0]
     for R, pg in pgs.items():
-        assert fused[R] == virial_z_second(plan, f, gw, {R: pg}, energy)[R]
+        assert fused[R] == virial_z_second(plan, u, gw, {R: pg}, energy)[R]
 
 
 def test_csv_column_order_is_fixed():
@@ -265,15 +265,15 @@ def test_csv_column_order_is_fixed():
 def test_sample_row_is_keyed_by_csv_columns(grid, plan):
     gw = GridWeights(grid, PARAMS)
     pgs = {R: ProfileOnGrid(build_cutoff(5, R, PARAMS), gw) for R in (2.0, 4.0)}
-    f = make(grid, 0.5 * np.exp(-((grid.coords()[0] - 0.3) ** 2)) * np.exp(0.2j * grid.coords()[0]))
-    row = sample(plan, f, gw, pgs, 0.25, 1e-3).row(4.0, -1.5)
+    u = 0.5 * np.exp(-((grid.coords()[0] - 0.3) ** 2)) * np.exp(0.2j * grid.coords()[0])
+    row = sample(plan, u, gw, pgs, 0.25, 1e-3).row(4.0, -1.5)
     assert list(row) == CSV_COLUMNS
-    cons = conservation(plan, f, gw)
-    v = virial_z_second(plan, f, gw, pgs, cons.energy)[4.0]
+    cons = conservation(plan, u, gw)
+    v = virial_z_second(plan, u, gw, pgs, cons.energy)[4.0]
     assert (row["t"], row["dt"], row["zR_second_fd"]) == (0.25, 1e-3, -1.5)
     assert (row["mass"], row["energy"]) == (cons.mass, cons.energy)
     assert row["grad_norm"] == np.sqrt(cons.kinetic)
-    assert row["sup_norm"] == np.max(np.abs(f.values))
+    assert row["sup_norm"] == np.max(np.abs(u))
     for name in ("zR", "zR_prime", "zR_second_formula", "K1", "K2", "K3", "alpha_check"):
         assert row[name] == getattr(v, name)
 
@@ -288,7 +288,7 @@ def test_sample_calls_through_module_names(grid, plan, monkeypatch):
         )
     gw = GridWeights(grid, PARAMS)
     pgs = {2.0: ProfileOnGrid(build_cutoff(5, 2.0, PARAMS), gw)}
-    sample(plan, make(grid, np.exp(-grid.coords()[0] ** 2)), gw, pgs, 0.0, 1e-3)
+    sample(plan, make(grid, np.exp(-grid.coords()[0] ** 2)).values, gw, pgs, 0.0, 1e-3)
     assert calls == ["conservation", "virial_z_second"]
 
 
@@ -403,25 +403,25 @@ def test_weights_match_the_closed_form_phi1_and_phi2(ndim, b, M, R):
 ROUNDING = 64 * np.finfo(float).eps
 
 
-def reference_virials(plan, f, gw, profiles):
+def reference_virials(plan, u, gw, profiles):
     """R -> (VirialReport, scales) by the per-radius formulas, each sum a
     separate np.sum over the whole grid of shaped arrays from the profile's
     own evaluators. scales maps each column but z_R and z_R' to the sum of
     |weight * density| over its terms, the tails' constant weights times
     their full-grid density sums included: the scale of its rounding
     error."""
-    params = f.params
+    params = gw.params
     quad = gw.quad
     N, b = params.ndim, params.b
     cN = N + 2.0 - b
     coef = (4.0 - 2.0 * b) / cN
-    grads, xdot = plan.radial_derivative_arrays(f.values)
+    grads, xdot = plan.radial_derivative_arrays(u)
     grad2 = sum(np.abs(g) ** 2 for g in grads)
     xdot2 = np.abs(xdot) ** 2
-    absu2 = np.abs(f.values) ** 2
+    absu2 = np.abs(u) ** 2
     wup = gw.w_b * absu2 ** (params.p / 2.0)
-    conj_u = np.conj(f.values)
-    energy = conservation(plan, f, gw).energy
+    conj_u = np.conj(u)
+    energy = conservation(plan, u, gw).energy
 
     def weighted(c, w, d):
         p = w * d
@@ -487,9 +487,9 @@ def test_weighted_sums_match_the_per_radius_formulas(ndim, b, M):
     profiles = [build_cutoff(default_k(params), R, params) for R in (0.5, 2.0, 4.0)]
     pgs = {p.R: ProfileOnGrid(p, gw) for p in profiles}
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
-    f = Field(params, grid, 0.9 * np.exp(-r2 / 2.0) * np.exp(0.3j * grid.coords()[0]))
-    got = virial_z_second(plan, f, gw, pgs, conservation(plan, f, gw).energy)
-    assert_matches_reference(got, reference_virials(plan, f, gw, profiles))
+    u = 0.9 * np.exp(-r2 / 2.0) * np.exp(0.3j * grid.coords()[0])
+    got = virial_z_second(plan, u, gw, pgs, conservation(plan, u, gw).energy)
+    assert_matches_reference(got, reference_virials(plan, u, gw, profiles))
 
 
 @PROPERTY
@@ -504,17 +504,16 @@ def test_box_sums_match_full_grid_sums(grid, b, scale, seed):
     gw = GridWeights(grid, params)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = Field(params, grid, u)
-    got = virial_z_second(plan, f, gw, {prof.R: ProfileOnGrid(prof, gw)}, conservation(plan, f, gw).energy)
-    assert_matches_reference(got, reference_virials(plan, f, gw, [prof]))
+    got = virial_z_second(plan, u, gw, {prof.R: ProfileOnGrid(prof, gw)}, conservation(plan, u, gw).energy)
+    assert_matches_reference(got, reference_virials(plan, u, gw, [prof]))
 
 
-def held_sample(plan, f, gw, pgs, t, dt):
-    """The Sample of f formed the way the diagnostics pass did when it held
+def held_sample(plan, u, gw, pgs, t, dt):
+    """The Sample of u formed the way the diagnostics pass did when it held
     every gradient component at once, x . grad u and phi_R over the whole
     grid, a cached |xi|^2 with the Nyquist entries zeroed and |u| to the
     end; the streamed pass must give its bits."""
-    u, params, grid, quad = f.values, f.params, f.grid, gw.quad
+    params, grid, quad = gw.params, gw.grid, gw.quad
     N, b = params.ndim, params.b
     absu = np.abs(u)
     absu2 = absu**2
@@ -617,5 +616,4 @@ def test_streamed_sample_has_the_bits_of_the_held_one(grid, b, scales, seed, amp
     u = amplitude * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     # exact zeros of both signs, so that signed zeros reach the sums
     u[np.broadcast_to(grid.coords()[0] > 0.5 * grid.half_width, grid.shape)] = complex(-0.0, 0.0)
-    f = Field(params, grid, u)
-    assert bits(sample(plan, f, gw, pgs, 0.5, 1e-3)) == bits(held_sample(plan, f, gw, pgs, 0.5, 1e-3))
+    assert bits(sample(plan, u, gw, pgs, 0.5, 1e-3)) == bits(held_sample(plan, u, gw, pgs, 0.5, 1e-3))

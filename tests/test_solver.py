@@ -164,10 +164,10 @@ class TestStrangStep:
 
         def drift(dt, steps):
             f = gaussian_field(amplitude=0.6)
-            e0 = conservation(PLAN, f, gw).energy
+            e0 = conservation(PLAN, f.values, gw).energy
             for _ in range(steps):
                 f = strang_step(PLAN, f, dt, potential=gw.w_b)
-            return abs(conservation(PLAN, f, gw).energy - e0)
+            return abs(conservation(PLAN, f.values, gw).energy - e0)
 
         d1 = drift(2e-3, 250)
         d2 = drift(1e-3, 500)
@@ -443,6 +443,21 @@ class TestRun:
         assert rep.series[-1].t == rep.t_end and rep.series[-1].dt == 0.1
         _, t = read_checkpoint(tmp_path / "ckpt_final.bin")
         assert t == rep.t_end
+
+    def test_fields_are_built_for_checkpoints_alone(self, tmp_path, monkeypatch):
+        # a sample reads the run's array; a validated Field is built by
+        # realize and for each checkpoint written, never for a sample
+        built = []
+        post_init = Field.__post_init__
+        monkeypatch.setattr(Field, "__post_init__", lambda f: built.append(1) or post_init(f))
+        init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
+        rep = run(init, PARAMS, GRID, self.cfg(checkpoint_stride=2), PROFILES,
+                  checkpoint_dir=str(tmp_path))
+        assert len(rep.series) > len(rep.checkpoints) >= 2
+        assert len(built) == 1 + len(rep.checkpoints)
+        built.clear()
+        rep = run(init, PARAMS, GRID, self.cfg(), PROFILES)
+        assert len(rep.series) > 1 and len(built) == 1
 
     def test_determinism(self):
         init = InitialData(kind="gaussian", amplitude=0.4, width=1.0)
