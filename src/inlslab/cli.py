@@ -35,7 +35,6 @@ from .cutoff import (
 )
 from .inequalities import WHICH, IneqCase, RadialWeight, estimate_constant
 from .solver import OUTCOME_BLOWUP, OUTCOME_INSTABILITY, OUTCOME_REACHED_T_MAX, SolverConfig, run
-from .spectral import SpectralPlan
 from .svgplot import line_plot
 
 EXIT_CODES = {OUTCOME_REACHED_T_MAX: 0, OUTCOME_BLOWUP: 10, OUTCOME_INSTABILITY: 20}
@@ -393,12 +392,11 @@ def virial_audit(run_dir: str) -> dict:
         f, t = read_checkpoint(path)
         if first is None:
             first = (f.grid, f.params)
-            plan = SpectralPlan(f.grid)
             gw = obs.GridWeights(f.grid, f.params)
             pgs = {R: obs.ProfileOnGrid(build_cutoff(k, R, f.params), gw) for R in csv_rows}
         elif (f.grid, f.params) != first:
             raise InvariantError(f"{path} is not on the grid and b of {ckpts[0]}")
-        s = obs.sample(plan, f.values, gw, pgs, t, float("nan"))
+        s = obs.sample(f.values, gw, pgs, t, float("nan"))
         for R, rows in csv_rows.items():
             match = np.where(np.abs(rows[:, COLUMN["t"]] - t) <= 1e-13 * max(1.0, abs(t)))[0]
             if match.size == 0:

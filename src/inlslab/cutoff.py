@@ -307,17 +307,20 @@ class CutoffProfile:
         """Phi_2,R(r) = (2/(N+2-b)) ((2-b) c + (2N-2+b) a)."""
         return self._weight2(*self.deficits(r)[:2])
 
-    def dphi2_pow(self, r, e: float):
-        """d/dr Phi_2^e at r in closed form, e Phi_2^(e-1) dPhi_2/dr; 0 where
-        Phi_2 = 0."""
+    def _dphi2_pow_drho(self, r, e: float):
+        """d/drho Phi_2^e at r in closed form, e Phi_2^(e-1) dPhi_2/drho, a
+        function of rho = r/R alone; 0 where Phi_2 = 0."""
         rho = np.asarray(r, dtype=float) / self.R
         a, c, dc = self.deficits(r)
         w = self._weight2(a, c)
         out = np.zeros_like(w)
         m = w > 0.0
-        dw = self._weight2((c[m] - a[m]) / rho[m], dc[m]) / self.R
-        out[m] = e * w[m] ** (e - 1.0) * dw
+        out[m] = e * w[m] ** (e - 1.0) * self._weight2((c[m] - a[m]) / rho[m], dc[m])
         return out
+
+    def dphi2_pow(self, r, e: float):
+        """d/dr Phi_2^e at r in closed form; 0 where Phi_2 = 0."""
+        return self._dphi2_pow_drho(r, e) / self.R
 
 
 def build_cutoff(k: int, R: float, params: ProblemParams) -> CutoffProfile:
@@ -361,11 +364,11 @@ def verify_phicond(profile: CutoffProfile, samples: int) -> dict:
 
 
 def grad_weight_bound(profile: CutoffProfile, samples: int) -> float:
-    """sup over r in (0, 4R] of R * |d/dr Phi_2^e| (e the dimension-dependent
-    exponent), of the closed-form derivative at the rho samples."""
+    """sup over r in (0, 4R] of R * |d/dr Phi_2^e| = |d/drho Phi_2^e| (e the
+    dimension-dependent exponent), of the closed form at the rho samples."""
     rho = _rho_samples(profile, samples)
-    deriv = profile.dphi2_pow(rho * profile.R, weight_exponent(profile.params))
-    return float(np.max(profile.R * np.abs(deriv)))
+    deriv = profile._dphi2_pow_drho(rho * profile.R, weight_exponent(profile.params))
+    return float(np.max(np.abs(deriv)))
 
 
 @dataclass(frozen=True)

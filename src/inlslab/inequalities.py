@@ -98,29 +98,32 @@ def lhs_rhs(case: IneqCase, u: np.ndarray) -> tuple:
     """Both sides of the chosen inequality for u, with implicit constant 1."""
     grid, params = case.grid, case.params
     N, b = params.ndim, params.b
-    # the gradient density is reduced and dropped before |u| is formed, so
-    # no derivative component and no |u| temporary are alive together
-    grad2 = case.plan.gradient_density_array(u)
+    # the gradient density (x . grad u on an empty box) is reduced and
+    # dropped before |u| is formed, so no derivative component and no |u|
+    # temporary are alive together
+    grad2, _ = case.plan.gradient_pass(u, 0, 0)
     if case.which == "gn":
         gn = np.sqrt(_quad(grid, grad2))
     else:
         grad_term = np.sqrt(_quad(grid, case.w2e * grad2))
     del grad2
     absu = np.abs(u)
-    l2 = np.sqrt(_quad(grid, absu**2))
+    absu2 = absu**2
+    l2 = np.sqrt(_quad(grid, absu2))
+    if case.which != "gn":
+        # every weighted estimate bounds by sqrt int |d(w^e)|^2 |u|^2 +
+        # sqrt int w^2e |grad u|^2; interp2 adds sqrt int w^2e |u|^2 in front
+        term = np.sqrt(_quad(grid, case.dpow2 * absu2))
+        if case.which == "interp2":
+            term = np.sqrt(_quad(grid, case.w2e * absu2)) + term
+        term = term + grad_term
+    del absu2  # dropped before the left side's power of |u| is formed
 
     if case.which == "gn":
         sigma = (2.0 - b) / N
         lhs = _quad(grid, absu ** (2.0 * sigma + 2.0))
         rhs = gn ** (N * sigma) * l2 ** (2.0 + sigma * (2.0 - N))
         return lhs, rhs
-
-    # every weighted estimate bounds by sqrt int |d(w^e)|^2 |u|^2 +
-    # sqrt int w^2e |grad u|^2; interp2 adds sqrt int w^2e |u|^2 in front
-    term = np.sqrt(_quad(grid, case.dpow2 * absu**2))
-    if case.which == "interp2":
-        term = np.sqrt(_quad(grid, case.w2e * absu**2)) + term
-    term = term + grad_term
 
     if case.which == "otn1":
         lhs = float(np.max(case.w_half_e * absu))

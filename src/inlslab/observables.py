@@ -15,8 +15,8 @@ over the box alone; K1 and K2 add the constant Phi_1 or Phi_2 times the
 density's full-grid sum less its box sum. z_R keeps its full-grid sum,
 of phi_R_outer |u|^2 with phi_R |u|^2 written over the box: z_R feeds a
 second difference in time that magnifies any change in its rounding.
-Every diagnostic takes the field's array u, with the grid and the
-problem parameters from its GridWeights alone.
+Every diagnostic takes the field's array u, with the grid, its spectral
+plan and the problem parameters from its GridWeights alone.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Sample:
 
 class GridWeights:
     """Per-(grid, params) data reused across time samples: the grid, its
-    cell volume and |x|^-b, for b < min(2, N) (check_b)."""
+    spectral plan, its cell volume and |x|^-b, for b < min(2, N) (check_b)."""
 
     @staticmethod
     def check_b(params) -> None:
@@ -90,16 +90,17 @@ class GridWeights:
         self.check_b(params)
         self.grid = grid
         self.params = params
+        self.plan = SpectralPlan(grid)
         self.w_b = grid.radii() ** (-params.b)
         self.quad = grid.cell_volume
 
 
 class ProfileOnGrid:
     """The per-radius weights of the virial sums, from one profile
-    evaluation on the support box |x_j| < 2R (box, one slice per axis):
-    every weight on the box alone, with phi_R, Phi_1 and Phi_2 equal to
-    phi_R_outer, phi1_outer and phi2_outer outside it and the others 0.
-    The profile must be built for the (N, b) of gw."""
+    evaluation on the support box |x_j| < 2R, the index box [lo, hi)^N, empty
+    at lo = hi = M/2, so boxes nest: every weight on the box alone, with
+    phi_R, Phi_1 and Phi_2 equal to phi_R_outer, phi1_outer and phi2_outer
+    outside it and the others 0. The profile must be built for gw's (N, b)."""
 
     def __init__(self, profile: CutoffProfile, gw: GridWeights):
         N, b = gw.params.ndim, gw.params.b
@@ -107,9 +108,10 @@ class ProfileOnGrid:
             p = profile.params
             raise InvariantError(f"cutoff profile built for N={p.ndim}, b={p.b}, not N={N}, b={b}")
         inside = np.flatnonzero(np.abs(gw.grid.axis_coords()) < 2.0 * profile.R)
-        lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
-        self.box = (slice(lo, hi),) * N
-        r = gw.grid.radii(lo, hi)
+        centre = gw.grid.points_per_axis // 2
+        self.lo, self.hi = (inside[0], inside[-1] + 1) if inside.size else (centre, centre)
+        self.box = (slice(self.lo, self.hi),) * N
+        r = gw.grid.radii(self.lo, self.hi)
         # every r outside the box is at least 2R, where phi_R, Phi_1 and Phi_2 are constant
         outer = [float(w(2.0 * profile.R)) for w in (profile.phi_R, profile.phi1, profile.phi2)]
         self.phi_R_outer, self.phi1_outer, self.phi2_outer = outer
@@ -164,23 +166,18 @@ def mass_drift(mass, mass0: float):
 
 
 def conservation(
-    plan: SpectralPlan, u: np.ndarray, gw: GridWeights, dens: Densities | None = None
+    u: np.ndarray, gw: GridWeights, dens: Densities | None = None
 ) -> ConservationReport:
     dens = dens or Densities(u, gw)
     mass = gw.quad * float(np.sum(dens.absu2))
-    kinetic = plan.grad_norm(u) ** 2
+    kinetic = gw.plan.grad_norm(u) ** 2
     pot = gw.quad * dens.wup_total
     energy = 0.5 * kinetic - gw.params.energy_coefficient * pot
     return ConservationReport(mass=mass, energy=energy, kinetic=kinetic, potential_weighted=pot)
 
 
 def virial_z_second(
-    plan: SpectralPlan,
-    u: np.ndarray,
-    gw: GridWeights,
-    pgs: dict,
-    energy: float,
-    dens: Densities | None = None,
+    u: np.ndarray, gw: GridWeights, pgs: dict, energy: float, dens: Densities | None = None
 ) -> dict:
     """R -> VirialReport for every radius of pgs (R -> ProfileOnGrid), from
     one gradient pass over u: z_R, z_R' = 2 Im int (partial_r phi_R / r)
@@ -190,10 +187,9 @@ def virial_z_second(
     multiple of energy, the conservation report's energy of u, closing the
     decomposition. Every sum but z_R's runs over the radius's support box.
 
-    The gradient is streamed, one component d_j u alive at a time: |grad
-    u|^2 is summed over the grid and x . grad u over the largest support
-    box, which holds every other box. Both have the bits of summing over
-    the whole gradient in axis order.
+    The gradient comes from one SpectralPlan.gradient_pass: |grad u|^2
+    over the grid and x . grad u over the widest support box, the one with
+    the smallest lo, which holds every other box.
 
     Each sum is the pairwise np.sum of one fresh weighted integrand. z_R
     feeds a second difference in time, which multiplies its rounding by
@@ -205,34 +201,17 @@ def virial_z_second(
     coef = (4.0 - 2.0 * b) / (N + 2.0 - b)
     absu2, wup = dens.absu2, dens.wup
 
-    # the support boxes are index ranges |x_j| < 2R, so nested: the widest holds the rest
-    lo, hi = max(((pg.box[0].start, pg.box[0].stop) for pg in pgs.values()),
-                 key=lambda edges: edges[1] - edges[0], default=(0, 0))
-    big = (slice(lo, hi),) * N
-    x_big = gw.grid.coords(lo, hi)
-    grad2 = None
-    xdot = np.zeros(u[big].shape, dtype=complex)
-    for axis in range(N):
-        d = plan._axis_derivative(u, axis)
-        mag2 = np.abs(d)
-        np.square(mag2, out=mag2)
-        if grad2 is None:
-            grad2 = mag2  # the bits of 0 + |d_0 u|^2, which is never -0
-        else:
-            grad2 += mag2
-        del mag2
-        np.multiply(x_big[axis], d[big], out=d[big])  # x_j d_j u, in place
-        xdot += d[big]
-        del d  # freed before the next component is formed
+    # the support boxes are nested, so the widest has the smallest lo
+    lo, hi = min(((pg.lo, pg.hi) for pg in pgs.values()), default=(0, 0))
+    grad2, xdot = gw.plan.gradient_pass(u, lo, hi)
     grad2_total = float(np.sum(grad2))
 
     reports = {}
     for R, pg in pgs.items():
         # the densities on the support box, and x . grad u there from its
-        # place in the widest box: an empty box (start = stop = 0) takes the
-        # empty slice at 0
+        # place in the widest box
         box = pg.box
-        inner = tuple(slice(max(s.start - lo, 0), max(s.stop - lo, 0)) for s in box)
+        inner = (slice(pg.lo - lo, pg.hi - lo),) * N
         grad2_b, wup_b, xdot_b, u_b = grad2[box], wup[box], xdot[inner], u[box]
 
         t1 = 4.0 * quad * float(np.sum(pg.dphi_over_r * grad2_b))
@@ -273,13 +252,11 @@ def virial_z_second(
     return reports
 
 
-def sample(
-    plan: SpectralPlan, u: np.ndarray, gw: GridWeights, pgs: dict, t: float, dt: float
-) -> Sample:
+def sample(u: np.ndarray, gw: GridWeights, pgs: dict, t: float, dt: float) -> Sample:
     """Conservation and every radius's virial report for u at time t, from
     one set of its densities; |u| is freed before the virial pass."""
     dens = Densities(u, gw)
-    cons = conservation(plan, u, gw, dens)
+    cons = conservation(u, gw, dens)
     sup_norm = float(np.max(dens.absu))
     del dens.absu  # |u|^2 and |x|^-b |u|^p are formed; the virial pass reads no |u|
     return Sample(
@@ -288,7 +265,7 @@ def sample(
         conservation=cons,
         grad_norm=float(np.sqrt(cons.kinetic)),
         sup_norm=sup_norm,
-        virials=virial_z_second(plan, u, gw, pgs, cons.energy, dens),
+        virials=virial_z_second(u, gw, pgs, cons.energy, dens),
     )
 
 

@@ -30,7 +30,7 @@ from .core import (
     realize,
     write_checkpoint,
 )
-from .spectral import SpectralPlan, abs_pow, unit_phasor
+from .spectral import abs_pow, unit_phasor
 
 OUTCOME_REACHED_T_MAX = "reached_t_max"
 OUTCOME_BLOWUP = "blowup_detected"
@@ -164,12 +164,11 @@ def run(
     # the realized samples are the run's field: never written in place
     u = realize(init, params, grid).values
     decay = None if init.kind == "from_checkpoint" else boundary_decay(u)
-    plan = SpectralPlan(grid)
     gw = obs.GridWeights(grid, params)
     pgs = {p.R: obs.ProfileOnGrid(p, gw) for p in profiles}
     sigma = params.sigma
 
-    series = [obs.sample(plan, u, gw, pgs, 0.0, cfg.dt0)]
+    series = [obs.sample(u, gw, pgs, 0.0, cfg.dt0)]
     mass0 = series[0].conservation.mass
     checkpoints = []
 
@@ -185,9 +184,9 @@ def run(
         """Flush the pending linear tail and take a sample at t; returns
         the outcome that stops the run (mass drift or a ceiling), or None."""
         nonlocal u, pending
-        u = plan.free_propagate_array(u, pending)
+        u = gw.plan.free_propagate_array(u, pending)
         pending = 0.0
-        s = obs.sample(plan, u, gw, pgs, t, dt)
+        s = obs.sample(u, gw, pgs, t, dt)
         series.append(s)
         if obs.mass_drift(s.conservation.mass, mass0) > MASS_DRIFT_LIMIT:
             return OUTCOME_INSTABILITY
@@ -232,7 +231,7 @@ def run(
 
         # the pre-step field is dropped once propagated: a failed step ends
         # the run without a checkpoint, so nothing reads it again
-        u = plan.free_propagate_array(u, pending + 0.5 * dt)
+        u = gw.plan.free_propagate_array(u, pending + 0.5 * dt)
         u, rate = _phase_step(u, dt, gw.w_b, sigma)
         pending = 0.5 * dt
 

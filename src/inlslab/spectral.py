@@ -7,10 +7,11 @@ xi_m = pi*m/L. The Nyquist mode is zeroed in first-derivative multipliers
 
 A first-derivative multiplier i xi_j depends on the wavenumber along axis
 j alone, so each gradient component is one forward and one inverse
-transform along its own axis: 2N single-axis passes per gradient. The
-propagator and the Laplacian multiply by |xi|^2, which involves every
-axis, and the gradient norm sums every axis at once; these take full
-N-dimensional transforms.
+transform along its own axis: 2N single-axis passes per gradient, which
+gradient_pass streams one component at a time. The propagator and the
+Laplacian multiply by |xi|^2, which involves every axis, and the
+gradient norm sums every axis at once; these take full N-dimensional
+transforms.
 """
 
 from __future__ import annotations
@@ -108,14 +109,27 @@ class SpectralPlan:
         """[d_j u for each axis j]; values is not modified."""
         return [self._axis_derivative(values, axis) for axis in range(self.grid.ndim)]
 
-    def gradient_density_array(self, values: np.ndarray) -> np.ndarray:
-        """sum_j |d_j u|^2, one axis at a time, so at most one derivative
-        component is alive. It has the bits of summing |d_j u|^2 over
-        gradient_arrays in axis order; values is not modified."""
-        density = np.zeros(self.grid.shape)
+    def gradient_pass(self, values: np.ndarray, lo: int, hi: int) -> tuple:
+        """(|grad u|^2 over the grid, x . grad u on the index box [lo, hi)^N)
+        with one d_j u alive at a time; both have the bits of summing over
+        gradient_arrays in axis order. values is not modified."""
+        box = (slice(lo, hi),) * self.grid.ndim
+        x = self.grid.coords(lo, hi)
+        density = None
+        xdot = np.zeros(values[box].shape, dtype=complex)
         for axis in range(self.grid.ndim):
-            density += np.square(np.abs(self._axis_derivative(values, axis)))
-        return density
+            d = self._axis_derivative(values, axis)
+            mag2 = np.abs(d)
+            np.square(mag2, out=mag2)
+            if density is None:
+                density = mag2  # the bits of 0 + |d_0 u|^2, which is never -0
+            else:
+                density += mag2
+            del mag2
+            np.multiply(x[axis], d[box], out=d[box])  # x_j d_j u, in place
+            xdot += d[box]
+            del d  # freed before the next component is formed
+        return density, xdot
 
     def laplacian_array(self, values: np.ndarray) -> np.ndarray:
         return _fft.ifftn(-self.k2 * _fft.fftn(values))

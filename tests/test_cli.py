@@ -514,8 +514,8 @@ class TestSimulate:
         # every sample after the first reports 1e-5 more mass than it has
         real = observables.sample
 
-        def inflating(plan, f, gw, pgs, t, dt):
-            s = real(plan, f, gw, pgs, t, dt)
+        def inflating(u, gw, pgs, t, dt):
+            s = real(u, gw, pgs, t, dt)
             if t > 0:
                 mass = s.conservation.mass * (1.0 + 1e-5)
                 s.conservation = dataclasses.replace(s.conservation, mass=mass)

@@ -21,7 +21,6 @@ from inlslab.core import (
     write_checkpoint,
 )
 from inlslab.observables import GridWeights, conservation, sample
-from inlslab.spectral import SpectralPlan
 
 # few, reproducible examples: these run in the default suite
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -143,7 +142,7 @@ class TestInitialData:
         init = InitialData(kind="gaussian", amplitude=0.7, width=0.9)
         f = realize(init, params, grid)
         exact = np.sqrt(quad(lambda x: 0.49 * np.exp(-x**2 / 0.81), -np.inf, np.inf)[0])
-        mass = conservation(SpectralPlan(grid), f.values, GridWeights(grid, params)).mass
+        mass = conservation(f.values, GridWeights(grid, params)).mass
         assert np.sqrt(mass) == pytest.approx(exact, rel=1e-12)
 
     def test_shifted_gaussian_peaks_at_center(self):
@@ -431,5 +430,5 @@ def test_sup_norm_matches_numpy():
     params = ProblemParams(1, 0.5)
     grid = Grid(1, 1.0, 8)
     vals = np.arange(8) * (0.3 + 0.4j)
-    s = sample(SpectralPlan(grid), vals, GridWeights(grid, params), {}, 0.0, 1e-3)
+    s = sample(vals, GridWeights(grid, params), {}, 0.0, 1e-3)
     assert s.sup_norm == pytest.approx(np.max(np.abs(vals)))

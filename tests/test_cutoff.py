@@ -284,8 +284,16 @@ class TestDeficits:
 
 class TestGradWeightBound:
     def test_r_independence(self):
-        vals = [grad_weight_bound(build_cutoff(5, R, P1), 10**4) for R in (1.0, 10.0, 100.0)]
-        assert (max(vals) - min(vals)) / max(vals) < 1e-12
+        # the bound is the sup of the rho-derivative, with no factor of R: a
+        # tiny R neither overflows nor moves it
+        for N in (1, 2, 3):
+            for b in (0.1, 0.5, 1.0, 1.5, 1.9):
+                p = ProblemParams(N, b)
+                vals = [
+                    grad_weight_bound(build_cutoff(default_k(p), R, p), 10**4)
+                    for R in (1.0, 10.0, 100.0, 0.125, 7.0, 1e-300)
+                ]
+                assert (max(vals) - min(vals)) / max(vals) < 1e-12, (N, b)
 
     def test_finite_and_positive(self):
         assert 0.0 < grad_weight_bound(build_cutoff(5, 1.0, P1), 10**4) < np.inf

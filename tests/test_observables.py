@@ -17,7 +17,7 @@ from inlslab.observables import (
     sample,
     virial_z_second,
 )
-from inlslab.spectral import SpectralPlan, abs_pow
+from inlslab.spectral import abs_pow
 
 from test_spectral import GRIDS, PROPERTY, SEEDS
 
@@ -28,13 +28,12 @@ def make(grid, values):
     return Field(PARAMS, grid, np.asarray(values, dtype=complex))
 
 
-def virial(f, prof, pg=None, plan=None):
+def virial(f, prof, pg=None):
     """The single-radius VirialReport for one profile."""
     gw = GridWeights(f.grid, f.params)
     pg = pg or ProfileOnGrid(prof, gw)
-    plan = plan or SpectralPlan(f.grid)
-    energy = conservation(plan, f.values, gw).energy
-    return virial_z_second(plan, f.values, gw, {prof.R: pg}, energy)[prof.R]
+    energy = conservation(f.values, gw).energy
+    return virial_z_second(f.values, gw, {prof.R: pg}, energy)[prof.R]
 
 
 @pytest.fixture(scope="module")
@@ -43,36 +42,31 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def plan(grid):
-    return SpectralPlan(grid)
-
-
-@pytest.fixture(scope="module")
 def gw(grid):
     return GridWeights(grid, PARAMS)
 
 
 class TestConservation:
-    def test_zero_field(self, grid, plan, gw):
-        rep = conservation(plan, make(grid, np.zeros(grid.shape)).values, gw)
+    def test_zero_field(self, grid, gw):
+        rep = conservation(make(grid, np.zeros(grid.shape)).values, gw)
         assert rep.mass == 0.0 and rep.energy == 0.0
 
-    def test_energy_identity(self, grid, plan, gw):
+    def test_energy_identity(self, grid, gw):
         rng = np.random.default_rng(11)
         u = rng.standard_normal(grid.shape) * np.exp(-grid.radii() ** 2)
-        rep = conservation(plan, make(grid, u).values, gw)
+        rep = conservation(make(grid, u).values, gw)
         assert rep.energy == pytest.approx(
             0.5 * rep.kinetic - PARAMS.energy_coefficient * rep.potential_weighted, rel=1e-14
         )
 
-    def test_gaussian_mass_and_kinetic_closed_form(self, grid, plan, gw):
+    def test_gaussian_mass_and_kinetic_closed_form(self, grid, gw):
         A = 0.7
         x = grid.axis_coords()
-        rep = conservation(plan, make(grid, A * np.exp(-(x**2) / 2.0)).values, gw)
+        rep = conservation(make(grid, A * np.exp(-(x**2) / 2.0)).values, gw)
         assert rep.mass == pytest.approx(A**2 * np.sqrt(np.pi), rel=1e-12)
         assert rep.kinetic == pytest.approx(A**2 * np.sqrt(np.pi) / 2.0, rel=1e-12)
 
-    def test_potential_converges_to_quadrature_oracle(self, plan):
+    def test_potential_converges_to_quadrature_oracle(self):
         # int |x|^(-1/2) exp(-5 x^2 / 2) dx, p = 5 for N=1, b=0.5. The
         # integrand has a |x|^(-b) cusp, so the rectangle rule converges
         # at O(h^(1-b)); the check is agreement plus the expected rate.
@@ -83,9 +77,7 @@ class TestConservation:
         for M in (2048, 8192, 32768):
             g = Grid(1, 20.0, M)
             x = g.axis_coords()
-            rep = conservation(
-                SpectralPlan(g), make(g, np.exp(-(x**2) / 2.0)).values, GridWeights(g, PARAMS)
-            )
+            rep = conservation(make(g, np.exp(-(x**2) / 2.0)).values, GridWeights(g, PARAMS))
             errs.append(abs(rep.potential_weighted - oracle) / oracle)
         assert errs[0] < 0.1
         assert errs[2] < errs[1] < errs[0]
@@ -110,7 +102,6 @@ class TestVirialZ:
     def test_upper_bound_on_random_fields(self, grid, gw):
         prof = build_cutoff(5, 2.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
-        plan = SpectralPlan(grid)
         rng = np.random.default_rng(5)
         # v >= 0 up to 2, zero after: phi is nondecreasing, flat beyond 2
         cap = prof.R**2 * float(prof.phi(2.0))
@@ -119,19 +110,19 @@ class TestVirialZ:
             spec[np.abs(np.fft.fftfreq(grid.size) * grid.size) > 64] = 0.0
             u = np.fft.ifftn(spec)
             f = make(grid, u)
-            mass = conservation(plan, f.values, gw).mass
-            assert virial(f, prof, pg, plan).zR <= cap * mass * (1.0 + 1e-12)
+            mass = conservation(f.values, gw).mass
+            assert virial(f, prof, pg).zR <= cap * mass * (1.0 + 1e-12)
 
 
 class TestVirialZPrime:
-    def test_real_field_gives_zero(self, grid, plan):
+    def test_real_field_gives_zero(self, grid):
         prof = build_cutoff(5, 2.0, PARAMS)
         x = grid.axis_coords()
-        assert virial(make(grid, np.exp(-(x**2))), prof, plan=plan).zR_prime == pytest.approx(
+        assert virial(make(grid, np.exp(-(x**2))), prof).zR_prime == pytest.approx(
             0.0, abs=1e-14
         )
 
-    def test_matches_time_finite_difference_under_free_flow(self, grid, plan, gw):
+    def test_matches_time_finite_difference_under_free_flow(self, grid, gw):
         # d/dt of z_R under the free flow obeys the same first identity
         prof = build_cutoff(5, 2.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
@@ -139,10 +130,10 @@ class TestVirialZPrime:
         # off-center moving packet: a centered one has z'(0) = 0 by symmetry
         u0 = np.exp(-((x - 1.0) ** 2) / 2.0) * np.exp(0.3j * x)
         f = make(grid, u0)
-        zp = virial(f, prof, pg, plan).zR_prime
+        zp = virial(f, prof, pg).zR_prime
 
         def z_at(t):
-            return virial(make(grid, plan.free_propagate_array(u0, t)), prof, pg, plan).zR
+            return virial(make(grid, gw.plan.free_propagate_array(u0, t)), prof, pg).zR
 
         errs = []
         for delta in (1e-3, 5e-4):
@@ -152,14 +143,14 @@ class TestVirialZPrime:
 
 
 class TestVirialZSecond:
-    def test_zero_field_all_zero(self, grid, plan, gw):
+    def test_zero_field_all_zero(self, grid, gw):
         prof = build_cutoff(5, 2.0, PARAMS)
-        rep = virial(make(grid, np.zeros(grid.shape)), prof, plan=plan)
+        rep = virial(make(grid, np.zeros(grid.shape)), prof)
         assert rep.zR == rep.zR_prime == rep.zR_second_formula == 0.0
         assert rep.K1 == rep.K2 == rep.K3 == 0.0
         assert np.isnan(rep.alpha_check)
 
-    def test_k_signs_on_random_fields(self, grid, plan, gw):
+    def test_k_signs_on_random_fields(self, grid, gw):
         prof = build_cutoff(5, 2.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
         rng = np.random.default_rng(9)
@@ -167,32 +158,32 @@ class TestVirialZSecond:
             spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             spec[np.abs(np.fft.fftfreq(grid.size) * grid.size) > 100] = 0.0
             u = np.fft.ifftn(spec)
-            rep = virial(make(grid, u), prof, pg, plan)
+            rep = virial(make(grid, u), prof, pg)
             assert rep.K1 <= 1e-12 * abs(rep.zR_second_formula)
             assert rep.K2 >= 0.0
 
-    def test_inner_support_kills_correction_terms(self, grid, plan, gw):
+    def test_inner_support_kills_correction_terms(self, grid, gw):
         prof = build_cutoff(5, 8.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
         x = grid.axis_coords()
-        rep = virial(make(grid, 0.8 * np.exp(-(x**2))), prof, pg, plan)
+        rep = virial(make(grid, 0.8 * np.exp(-(x**2))), prof, pg)
         scale = abs(rep.zR_second_formula)
         assert abs(rep.K1) < 1e-10 * scale
         assert abs(rep.K2) < 1e-10 * scale
         assert abs(rep.K3) < 1e-10 * scale
 
-    def test_k3_bounded_by_bilaplacian_estimate(self, grid, plan, gw):
+    def test_k3_bounded_by_bilaplacian_estimate(self, grid, gw):
         from inlslab.cutoff import bilaplacian_sup
 
         prof = build_cutoff(5, 2.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
         x = grid.axis_coords()
         f = make(grid, np.exp(-(x**2) / 8.0))
-        rep = virial(f, prof, pg, plan)
-        mass = conservation(plan, f.values, gw).mass
+        rep = virial(f, prof, pg)
+        mass = conservation(f.values, gw).mass
         assert abs(rep.K3) <= bilaplacian_sup(prof, 10**5) * mass * (1.0 + 1e-9)
 
-    def test_closure_coefficient_same_for_distinct_fields(self, grid, plan, gw):
+    def test_closure_coefficient_same_for_distinct_fields(self, grid, gw):
         prof = build_cutoff(5, 8.0, PARAMS)
         pg = ProfileOnGrid(prof, gw)
         x = grid.axis_coords()
@@ -202,15 +193,15 @@ class TestVirialZSecond:
             0.6 * np.exp(-(x**2) / 1.3) + 0.3 * np.exp(-((x + 1.1) ** 2)),
         ]
         alphas = [
-            virial(make(grid, u), prof, pg, plan).alpha_check for u in fields
+            virial(make(grid, u), prof, pg).alpha_check for u in fields
         ]
         assert np.max(np.abs(np.diff(alphas))) < 1e-9 * abs(alphas[0])
 
-    def test_formula_matches_term_sum_for_shifted_field(self, grid, plan, gw):
+    def test_formula_matches_term_sum_for_shifted_field(self, grid, gw):
         # non-radial data exercises the Cartesian x . grad u assembly
         prof = build_cutoff(5, 2.0, PARAMS)
         x = grid.axis_coords()
-        rep = virial(make(grid, np.exp(-((x - 0.5) ** 2)) * np.exp(0.2j * x)), prof, plan=plan)
+        rep = virial(make(grid, np.exp(-((x - 0.5) ** 2)) * np.exp(0.2j * x)), prof)
         assert np.isfinite(rep.zR_second_formula)
         assert rep.zR >= 0.0
 
@@ -231,16 +222,15 @@ class TestMultiDimension:
 def test_one_pass_matches_single_radius_calls(ndim, b, M):
     params = ProblemParams(ndim, b)
     grid = Grid(ndim, 8.0, M)
-    plan = SpectralPlan(grid)
     gw = GridWeights(grid, params)
     pgs = {R: ProfileOnGrid(build_cutoff(default_k(params), R, params), gw) for R in (1.0, 2.0, 4.0)}
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
     u = 0.7 * np.exp(-r2) * np.exp(0.3j * grid.coords()[0])
-    energy = conservation(plan, u, gw).energy
-    fused = virial_z_second(plan, u, gw, pgs, energy)
+    energy = conservation(u, gw).energy
+    fused = virial_z_second(u, gw, pgs, energy)
     assert list(fused) == [1.0, 2.0, 4.0]
     for R, pg in pgs.items():
-        assert fused[R] == virial_z_second(plan, u, gw, {R: pg}, energy)[R]
+        assert fused[R] == virial_z_second(u, gw, {R: pg}, energy)[R]
 
 
 def test_csv_column_order_is_fixed():
@@ -262,14 +252,14 @@ def test_csv_column_order_is_fixed():
     ]
 
 
-def test_sample_row_is_keyed_by_csv_columns(grid, plan):
+def test_sample_row_is_keyed_by_csv_columns(grid):
     gw = GridWeights(grid, PARAMS)
     pgs = {R: ProfileOnGrid(build_cutoff(5, R, PARAMS), gw) for R in (2.0, 4.0)}
     u = 0.5 * np.exp(-((grid.coords()[0] - 0.3) ** 2)) * np.exp(0.2j * grid.coords()[0])
-    row = sample(plan, u, gw, pgs, 0.25, 1e-3).row(4.0, -1.5)
+    row = sample(u, gw, pgs, 0.25, 1e-3).row(4.0, -1.5)
     assert list(row) == CSV_COLUMNS
-    cons = conservation(plan, u, gw)
-    v = virial_z_second(plan, u, gw, pgs, cons.energy)[4.0]
+    cons = conservation(u, gw)
+    v = virial_z_second(u, gw, pgs, cons.energy)[4.0]
     assert (row["t"], row["dt"], row["zR_second_fd"]) == (0.25, 1e-3, -1.5)
     assert (row["mass"], row["energy"]) == (cons.mass, cons.energy)
     assert row["grad_norm"] == np.sqrt(cons.kinetic)
@@ -278,7 +268,7 @@ def test_sample_row_is_keyed_by_csv_columns(grid, plan):
         assert row[name] == getattr(v, name)
 
 
-def test_sample_calls_through_module_names(grid, plan, monkeypatch):
+def test_sample_calls_through_module_names(grid, monkeypatch):
     # wrappers set on the module, such as a profiler's, see every sample
     calls = []
     for name in ("conservation", "virial_z_second"):
@@ -288,7 +278,7 @@ def test_sample_calls_through_module_names(grid, plan, monkeypatch):
         )
     gw = GridWeights(grid, PARAMS)
     pgs = {2.0: ProfileOnGrid(build_cutoff(5, 2.0, PARAMS), gw)}
-    sample(plan, make(grid, np.exp(-grid.coords()[0] ** 2)).values, gw, pgs, 0.0, 1e-3)
+    sample(make(grid, np.exp(-grid.coords()[0] ** 2)).values, gw, pgs, 0.0, 1e-3)
     assert calls == ["conservation", "virial_z_second"]
 
 
@@ -355,6 +345,10 @@ def test_profile_on_grid_arrays_match_profile(grid, gw):
         inside[pg.box] = True
         assert np.array_equal(inside, np.abs(x) < 2.0 * prof.R)
         assert np.count_nonzero(inside) == held
+        # kept as [lo, hi); the empty box sits at the centre, inside every other
+        assert pg.box == (slice(pg.lo, pg.hi),) and pg.hi - pg.lo == held
+        if not held:
+            assert pg.lo == pg.hi == grid.points_per_axis // 2
         # phi_R on the box, and its constant at r >= 2R outside it
         r = grid.radii()
         outside = outside_box(pg, grid.shape)
@@ -403,7 +397,7 @@ def test_weights_match_the_closed_form_phi1_and_phi2(ndim, b, M, R):
 ROUNDING = 64 * np.finfo(float).eps
 
 
-def reference_virials(plan, u, gw, profiles):
+def reference_virials(u, gw, profiles):
     """R -> (VirialReport, scales) by the per-radius formulas, each sum a
     separate np.sum over the whole grid of shaped arrays from the profile's
     own evaluators. scales maps each column but z_R and z_R' to the sum of
@@ -415,13 +409,13 @@ def reference_virials(plan, u, gw, profiles):
     N, b = params.ndim, params.b
     cN = N + 2.0 - b
     coef = (4.0 - 2.0 * b) / cN
-    grads, xdot = plan.radial_derivative_arrays(u)
+    grads, xdot = gw.plan.radial_derivative_arrays(u)
     grad2 = sum(np.abs(g) ** 2 for g in grads)
     xdot2 = np.abs(xdot) ** 2
     absu2 = np.abs(u) ** 2
     wup = gw.w_b * absu2 ** (params.p / 2.0)
     conj_u = np.conj(u)
-    energy = conservation(plan, u, gw).energy
+    energy = conservation(u, gw).energy
 
     def weighted(c, w, d):
         p = w * d
@@ -482,14 +476,13 @@ def assert_matches_reference(got, ref):
 def test_weighted_sums_match_the_per_radius_formulas(ndim, b, M):
     params = ProblemParams(ndim, b)
     grid = Grid(ndim, 8.0, M)
-    plan = SpectralPlan(grid)
     gw = GridWeights(grid, params)
     profiles = [build_cutoff(default_k(params), R, params) for R in (0.5, 2.0, 4.0)]
     pgs = {p.R: ProfileOnGrid(p, gw) for p in profiles}
     r2 = sum((x - 0.4) ** 2 for x in grid.coords())
     u = 0.9 * np.exp(-r2 / 2.0) * np.exp(0.3j * grid.coords()[0])
-    got = virial_z_second(plan, u, gw, pgs, conservation(plan, u, gw).energy)
-    assert_matches_reference(got, reference_virials(plan, u, gw, profiles))
+    got = virial_z_second(u, gw, pgs, conservation(u, gw).energy)
+    assert_matches_reference(got, reference_virials(u, gw, profiles))
 
 
 @PROPERTY
@@ -500,20 +493,19 @@ def test_box_sums_match_full_grid_sums(grid, b, scale, seed):
     # The dynamics take b < min(2, N), so b is halved in 1D
     params = ProblemParams(grid.ndim, b * min(2, grid.ndim) / 2.0)
     prof = build_cutoff(default_k(params), scale * grid.half_width, params)
-    plan = SpectralPlan(grid)
     gw = GridWeights(grid, params)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    got = virial_z_second(plan, u, gw, {prof.R: ProfileOnGrid(prof, gw)}, conservation(plan, u, gw).energy)
-    assert_matches_reference(got, reference_virials(plan, u, gw, [prof]))
+    got = virial_z_second(u, gw, {prof.R: ProfileOnGrid(prof, gw)}, conservation(u, gw).energy)
+    assert_matches_reference(got, reference_virials(u, gw, [prof]))
 
 
-def held_sample(plan, u, gw, pgs, t, dt):
+def held_sample(u, gw, pgs, t, dt):
     """The Sample of u formed the way the diagnostics pass did when it held
     every gradient component at once, x . grad u and phi_R over the whole
     grid, a cached |xi|^2 with the Nyquist entries zeroed and |u| to the
     end; the streamed pass must give its bits."""
-    params, grid, quad = gw.params, gw.grid, gw.quad
+    params, grid, quad, plan = gw.params, gw.grid, gw.quad, gw.plan
     N, b = params.ndim, params.b
     absu = np.abs(u)
     absu2 = absu**2
@@ -606,7 +598,6 @@ def bits(sample_):
 @example(grid=Grid(2, 8.0, 32), b=1.0, scales=[1e-6, 0.3, 0.6], seed=3, amplitude=-0.0)
 def test_streamed_sample_has_the_bits_of_the_held_one(grid, b, scales, seed, amplitude):
     params = ProblemParams(grid.ndim, b * min(2, grid.ndim) / 2.0)
-    plan = SpectralPlan(grid)
     gw = GridWeights(grid, params)
     pgs = {
         s * grid.half_width: ProfileOnGrid(build_cutoff(default_k(params), s * grid.half_width, params), gw)
@@ -616,4 +607,4 @@ def test_streamed_sample_has_the_bits_of_the_held_one(grid, b, scales, seed, amp
     u = amplitude * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     # exact zeros of both signs, so that signed zeros reach the sums
     u[np.broadcast_to(grid.coords()[0] > 0.5 * grid.half_width, grid.shape)] = complex(-0.0, 0.0)
-    assert bits(sample(plan, u, gw, pgs, 0.5, 1e-3)) == bits(held_sample(plan, u, gw, pgs, 0.5, 1e-3))
+    assert bits(sample(u, gw, pgs, 0.5, 1e-3)) == bits(held_sample(u, gw, pgs, 0.5, 1e-3))

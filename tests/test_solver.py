@@ -164,10 +164,10 @@ class TestStrangStep:
 
         def drift(dt, steps):
             f = gaussian_field(amplitude=0.6)
-            e0 = conservation(PLAN, f.values, gw).energy
+            e0 = conservation(f.values, gw).energy
             for _ in range(steps):
                 f = strang_step(PLAN, f, dt, potential=gw.w_b)
-            return abs(conservation(PLAN, f.values, gw).energy - e0)
+            return abs(conservation(f.values, gw).energy - e0)
 
         d1 = drift(2e-3, 250)
         d2 = drift(1e-3, 500)
