@@ -223,7 +223,28 @@ def transform_calls(monkeypatch):
     return calls
 
 
+def check_gradient_pass(grid, u, lo, hi):
+    plan = SpectralPlan(grid)
+    before = u.copy()
+    density, xdot = plan.gradient_pass(u, lo, hi)
+    assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
+    reference = sum(np.abs(g) ** 2 for g in plan.gradient_arrays(u))
+    assert density.dtype == reference.dtype and density.shape == grid.shape
+    assert np.array_equal(density.view(np.uint64), reference.view(np.uint64))
+    on_box = (slice(lo, hi),) * grid.ndim
+    xdot_ref = plan.radial_derivative_arrays(u)[1][on_box]
+    assert xdot.dtype == xdot_ref.dtype and xdot.shape == xdot_ref.shape
+    assert np.array_equal(xdot.view(np.uint64), xdot_ref.view(np.uint64))
+
+
 class TestGradientDensityKernel:
+    @pytest.mark.parametrize("ndim, M", [(1, 256), (2, 32), (3, 16)])
+    def test_bits_of_the_summed_components(self, ndim, M):
+        grid = Grid(ndim, 8.0, M)
+        rng = np.random.default_rng(10 + ndim)
+        u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        check_gradient_pass(grid, u, M // 4, 3 * M // 4)
+
     @PROPERTY
     @given(
         ndim=st.integers(1, 3),
@@ -232,24 +253,13 @@ class TestGradientDensityKernel:
     )
     @example(ndim=2, box=(16, 0), seed=0)  # the empty box at M/2
     @example(ndim=3, box=(16, 8), seed=1)  # the whole grid
-    def test_bits_of_the_summed_components(self, ndim, box, seed):
+    def test_bits_on_drawn_grids_and_boxes(self, ndim, box, seed):
         # the centred box [M/2 - k, M/2 + k)
         M, k = box
-        lo, hi = M // 2 - k, M // 2 + k
         grid = Grid(ndim, 8.0, M)
-        plan = SpectralPlan(grid)
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        before = u.copy()
-        density, xdot = plan.gradient_pass(u, lo, hi)
-        assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
-        reference = sum(np.abs(g) ** 2 for g in plan.gradient_arrays(u))
-        assert density.dtype == reference.dtype and density.shape == grid.shape
-        assert np.array_equal(density.view(np.uint64), reference.view(np.uint64))
-        on_box = (slice(lo, hi),) * ndim
-        xdot_ref = plan.radial_derivative_arrays(u)[1][on_box]
-        assert xdot.dtype == xdot_ref.dtype and xdot.shape == xdot_ref.shape
-        assert np.array_equal(xdot.view(np.uint64), xdot_ref.view(np.uint64))
+        check_gradient_pass(grid, u, M // 2 - k, M // 2 + k)
 
     def test_3d_density_takes_one_transform_pair_per_axis(self, transform_calls):
         grid = Grid(3, 8.0, 8)
