@@ -179,6 +179,8 @@ def estimate_constant(case: IneqCase, trials: int, seed: int) -> ConstantEstimat
     member."""
     if trials < 1:
         raise InvariantError("trials must be >= 1")
+    if seed < 0:  # default_rng takes no negative entropy
+        raise InvariantError("seed must be >= 0")
     L = case.grid.half_width
     k0 = np.pi / L
 

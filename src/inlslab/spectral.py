@@ -8,10 +8,12 @@ xi_m = pi*m/L. The Nyquist mode is zeroed in first-derivative multipliers
 A first-derivative multiplier i xi_j depends on the wavenumber along axis
 j alone, so each gradient component is one forward and one inverse
 transform along its own axis: 2N single-axis passes per gradient, which
-gradient_pass streams one component at a time. The propagator and the
-Laplacian multiply by |xi|^2, which involves every axis, and the
-gradient norm sums every axis at once; these take full N-dimensional
-transforms.
+gradient_pass streams one component at a time. The free propagator
+exp(-i dt |xi|^2) factorises by axis into exp(-i dt xi_j^2), and every
+axis has the same wavenumbers, so it multiplies by one M-point vector
+along each axis in turn. The Laplacian multiplies by |xi|^2 and the
+gradient norm sums every axis at once; these, and the propagator's pair,
+take full N-dimensional transforms.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ class SpectralPlan:
     """Frequency vectors and multipliers for one grid.
 
     The first-derivative wavenumbers are fixed at construction. |xi|^2
-    (k2) is formed where a multiplier or the Laplacian is built, and its
-    Nyquist-zeroed form inside grad_norm; neither is kept, so the only
-    grid-sized arrays a plan holds are its multipliers. Free-propagator
-    multipliers exp(-i |xi|^2 dt) are cached per dt, at most
+    (k2) is formed where the Laplacian is built, and its Nyquist-zeroed
+    form inside grad_norm; neither is kept, so in 2D and 3D a plan holds
+    no grid-sized array. Free-propagator multipliers exp(-i xi^2 dt), one
+    M-point vector applied along every axis, are cached per dt, at most
     MULTIPLIER_CACHE_SIZE of them, the least recently used evicted first;
     calls mutate the cache, so a plan is not safe for concurrent use.
     """
@@ -143,12 +145,14 @@ class SpectralPlan:
         if m is None:
             if len(self._multipliers) >= MULTIPLIER_CACHE_SIZE:
                 del self._multipliers[next(iter(self._multipliers))]
-            # 0.0 - dt k2 keeps the signed zeros of np.exp(-1j * k2 * dt),
-            # so the multiplier has the same bits as that formula
-            m = unit_phasor(0.0 - dt * self.k2)
+            # 0.0 - dt xi^2 keeps the signed zeros of np.exp(-1j * xi**2 * dt),
+            # so in 1D the multiplier has the bits of that formula with k2; one
+            # expression, so no name holds xi (in 1D a half-field) while it is built
+            m = unit_phasor(0.0 - dt * self._wavenumbers(nyquist=True)[-1].ravel() ** 2)
         self._multipliers[dt] = m  # (re)inserted last: the cache's order is that of use
         fhat = self._forward(values)
-        fhat *= m
+        for axis in range(self.grid.ndim):  # exp(-i dt |xi|^2), one axis at a time
+            fhat *= m.reshape(self._xi_d_axes[axis].shape)
         return _fft.ifftn(fhat, out=fhat)
 
     def grad_norm(self, values: np.ndarray) -> float:

@@ -986,6 +986,12 @@ class TestToolSubcommands:
         assert report["c_hat"] > 0
         assert "not a proof" in report["note"]
 
+    def test_interp_check_rejects_a_negative_seed(self, capsys):
+        # once a ValueError traceback from numpy's default_rng
+        code = main(["interp-check", "--which", "gn", "--N", "1", "--b", "0.5", "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
 
 def test_readme_lists_every_flag_of_every_subcommand():
     # each "### <subcommand>" section of the README names exactly the

@@ -502,14 +502,15 @@ class TestRunMemory:
 
     def test_rate_limited_2d_run_keeps_few_fields(self, traced_peak, monkeypatch):
         # the 2D weights fill more of the grid (R = 2 on L = 8 is a quarter
-        # of it); the peak is 8.2 fields, against 13.7 with the weights over
-        # the whole grid and the full gradient
+        # of it); the peak is 6.2 fields, against 8.2 when the plan cached
+        # grid-sized multipliers and 13.7 with the weights over the whole
+        # grid and the full gradient
         rep, builds, fields = self.traced_fields(
             traced_peak, monkeypatch, ProblemParams(2, 1.0), Grid(2, 8.0, 128), (0.5, 1.0, 2.0)
         )
         assert rep.outcome == OUTCOME_REACHED_T_MAX
         assert rep.steps == 2 and builds == 3  # 2 steps and 1 flush
-        assert fields < 10
+        assert fields < 7.5
 
 
 class TestRunReport:

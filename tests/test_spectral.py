@@ -182,7 +182,7 @@ class TestGradientKernel:
     def test_gradient_forms_no_squared_wavenumbers(self):
         # |xi|^2 is formed where it is used, with the bits of the formula:
         # after a gradient, a propagation and a gradient norm the plan holds
-        # its multiplier and per-axis vectors, no grid-sized |xi|^2
+        # its multiplier and per-axis vectors, no grid-sized array
         grid = Grid(3, 8.0, 16)
         plan = SpectralPlan(grid)
         u = np.ones(grid.shape, dtype=complex)
@@ -193,6 +193,7 @@ class TestGradientKernel:
         held += [v for v in plan._xi_d_axes]
         assert all(v.size == 16 for v in held)
         assert list(plan._multipliers) == [0.1]
+        assert all(m.size == 16 for m in plan._multipliers.values())  # one axis's points
         xi = 2.0 * np.pi * np.fft.fftfreq(16, d=grid.h)
         k2 = xi[:, None, None] ** 2 + xi[None, :, None] ** 2 + xi[None, None, :] ** 2
         assert np.array_equal(plan.k2, k2)
@@ -309,30 +310,49 @@ class TestFreePropagator:
 
 
 class TestFreePropagatorProperties:
-    # one plan shared by every example, so its multiplier cache sees hits,
-    # misses and evictions
+    # one plan per grid shared by every example, so its multiplier cache
+    # sees hits, misses and evictions
     GRID = Grid(1, 8.0, 128)
     PLAN = SpectralPlan(GRID)
+    PLAN_2D = SpectralPlan(Grid(2, 8.0, 32))
+    PLAN_3D = SpectralPlan(Grid(3, 8.0, 16))
+    # the 1D plan or the 2D one, where the multiplier is applied per axis
+    PLANS = st.sampled_from([PLAN, PLAN_2D])
 
-    def field(self, seed):
+    def field(self, seed, grid=GRID):
         rng = np.random.default_rng(seed)
-        return rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
 
     @PROPERTY
-    @given(seed=SEEDS, dt=TIMES)
-    def test_unitary(self, seed, dt):
-        u = self.field(seed)
-        out = self.PLAN.free_propagate_array(u, dt)
+    @given(seed=SEEDS, dt=TIMES, plan=PLANS)
+    @example(seed=0, dt=0.5, plan=PLAN_2D)
+    def test_unitary(self, seed, dt, plan):
+        u = self.field(seed, plan.grid)
+        out = plan.free_propagate_array(u, dt)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(u) ** 2), rel=1e-13)
 
     @PROPERTY
-    @given(seed=SEEDS, a=TIMES, b=TIMES)
-    def test_group_law(self, seed, a, b):
-        u = self.field(seed)
-        one = self.PLAN.free_propagate_array(self.PLAN.free_propagate_array(u, a), b)
-        other = self.PLAN.free_propagate_array(u, a + b)
+    @given(seed=SEEDS, a=TIMES, b=TIMES, plan=PLANS)
+    @example(seed=0, a=0.5, b=-0.25, plan=PLAN_2D)
+    def test_group_law(self, seed, a, b, plan):
+        u = self.field(seed, plan.grid)
+        one = plan.free_propagate_array(plan.free_propagate_array(u, a), b)
+        other = plan.free_propagate_array(u, a + b)
         # phase roundoff grows like |xi|^2 |a + b| eps, about 1e-13 here
         assert np.max(np.abs(one - other)) < 1e-12 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @PROPERTY
+    @given(seed=SEEDS, dt=TIMES)
+    def test_matches_the_full_grid_formula(self, ndim, seed, dt):
+        # exp(-i dt xi_j^2) applied along each axis in turn against
+        # exp(-i dt |xi|^2) over the whole grid: the phases differ by
+        # roundoff of |xi|^2 |dt| eps, as in the group law
+        plan = {2: self.PLAN_2D, 3: self.PLAN_3D}[ndim]
+        u = self.field(seed, plan.grid)
+        out = plan.free_propagate_array(u, dt)
+        reference = np.fft.ifftn(np.fft.fftn(u) * np.exp(-1j * plan.k2 * dt))
+        assert np.max(np.abs(out - reference)) <= 1e-12 * np.max(np.abs(u))
 
     @PROPERTY
     @given(seed=SEEDS, dt=TIMES.filter(lambda t: t != 0.0))
